@@ -3,11 +3,13 @@
 // Runs the combined Theorem-1 solver over one generated mixed batch with
 // the BatchRunner at 1/2/4/8 worker threads, recording wall time,
 // throughput, and the byte-identity of the timing-free JSONL output. The
-// acceptance bar is >= 3x throughput at 8 threads over 1 thread on >= 200
-// mixed instances with byte-identical records — but scaling is only
-// measurable when the machine has cores to scale onto, so the speedup
-// check is gated on hardware_concurrency >= 4 (the determinism check runs
-// everywhere).
+// acceptance bar is >= 3x throughput at 8 threads over 1 thread with
+// byte-identical records — but scaling is only measurable when the machine
+// has cores to scale onto, so the speedup check is gated on
+// hardware_concurrency >= 4 (the determinism check runs everywhere). The
+// default batch is sized so the single-thread run takes about a second on
+// a 4-core x86-64 host: at a few tens of milliseconds, scheduling noise
+// alone moved the speedup across the bar.
 #include <chrono>
 #include <sstream>
 #include <string>
@@ -37,7 +39,7 @@ int main(int argc, char** argv) {
   BatchSpec spec;
   spec.family = "mixed";
   spec.count = static_cast<std::size_t>(
-      bench.args().get_int("count", 200));
+      bench.args().get_int("count", 20000));
   spec.params.seed = 1234;
   spec.params.n = 12;
   spec.params.T = 10;

@@ -1,16 +1,28 @@
-// Experiment E12 — LP engine comparison: dense tableau vs revised simplex.
+// Experiment E12 — the TISE LP: dense tableau vs revised simplex, and the
+// dominant-point LP vs the paper's full LP.
 //
-// Solves the same TISE relaxations with both engines and records wall
-// time, pivot counts, and refactorizations across instance sizes. The
+// Part 1 solves the same TISE relaxations with both engines and records
+// wall time, pivot counts, and refactorizations across instance sizes. The
 // acceptance bar for the sparse engine is >= 3x over the dense tableau on
 // the largest LP in the sweep with identical optimal objectives; measured
 // speedups should be far larger, since a dense pivot costs O(rows x cols)
 // while a revised pivot touches only stored nonzeros plus the eta file.
+//
+// Part 2 sizes the LP the combined solver meets at serving scale: the long
+// half of mixed instances shaped like the benchmark's solve-large workload
+// (T = 10, m = 3, horizon 5n) at n = 50..800, plus a dense long-window
+// family (horizon 3n) whose window rows bind. For each it records the
+// shape and pivots of both the paper's full LP and the dominant-point LP
+// solve_tise_lp tries first, and whether the window certificate held.
+// Those counts are deterministic and gate CI; the wall times are advisory.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "core/instance.hpp"
 #include "gen/generators.hpp"
 #include "harness.hpp"
 #include "longwin/tise_lp.hpp"
@@ -138,5 +150,117 @@ int main(int argc, char** argv) {
       " (tolerance 1e-6). The gap widens with size: dense pivots are "
       "O(rows x cols) while revised pivots touch only column nonzeros plus "
       "the eta file.");
+
+  // --- part 2: the dominant-point LP vs the paper's full LP --------------
+  struct LpCase {
+    std::string family;
+    int n;
+    Instance instance;
+  };
+  std::vector<LpCase> cases;
+  for (const int n : {50, 100, 200, 400, 800}) {
+    GenParams params;
+    params.seed = 1000 + static_cast<std::uint64_t>(n);
+    params.n = n;
+    params.T = 10;
+    params.machines = 3;
+    params.horizon = 5 * n;
+    params.max_proc = params.T;
+    cases.push_back(
+        {"large", n, split_by_window(generate_mixed(params, 0.5)).long_jobs});
+  }
+  // Seeds picked so the certificate fails: the fallback path stays measured.
+  for (const auto& [n, seed] :
+       {std::pair{30, std::uint64_t{1}}, std::pair{60, std::uint64_t{2}},
+        std::pair{120, std::uint64_t{1}}}) {
+    GenParams params;
+    params.seed = seed;
+    params.n = n;
+    params.T = 10;
+    params.machines = 2;
+    params.horizon = 3 * n;
+    params.max_proc = 10;
+    cases.push_back({"dense", n, generate_long_window(params)});
+  }
+
+  Table& shapes = bench.table(
+      "dominant", {"family", "n", "full-rows", "full-cols", "full-piv",
+                   "dom-rows", "dom-cols", "dom-piv", "certified", "full-ms",
+                   "tise-ms", "obj-diff"});
+  const auto pivots = [](const LpSolution& solution) {
+    return solution.phase1_pivots + solution.phase2_pivots;
+  };
+  bool large_certified = true;
+  bool dense_fell_back = true;
+  double large_n400_speedup = 0.0;
+  for (const LpCase& c : cases) {
+    const int m_prime = 3 * c.instance.machines;
+    TiseLpModel full;
+    LpSolution full_solution;
+    const double full_ms = time_ms(
+        [&] {
+          full = build_tise_lp(c.instance, m_prime);
+          full_solution = solve_lp(full.model);
+        },
+        1);
+    const TiseLpModel dominant = build_dominant_tise_lp(c.instance);
+    const LpSolution dominant_solution = solve_lp(dominant.model);
+    TiseFractional tise;
+    const double tise_ms =
+        time_ms([&] { tise = solve_tise_lp(c.instance, m_prime); }, 1);
+
+    const bool certified = !tise.window_fallback;
+    if (c.family == "large") {
+      large_certified = large_certified && certified;
+    } else {
+      dense_fell_back = dense_fell_back && !certified;
+    }
+    if (c.family == "large" && c.n == 400 && tise_ms > 0.0) {
+      large_n400_speedup = full_ms / tise_ms;
+    }
+    const double obj_diff = std::fabs(tise.objective - full_solution.objective);
+    const std::string key = c.family + "_n" + std::to_string(c.n);
+    bench.check("tise-matches-full-" + key,
+                tise.status == LpStatus::kOptimal &&
+                    full_solution.status == LpStatus::kOptimal &&
+                    obj_diff <= 1e-6);
+    bench.metric(key + "_full_rows", full.model.num_rows());
+    bench.metric(key + "_full_cols", full.model.num_variables());
+    bench.metric(key + "_full_pivots", static_cast<double>(pivots(full_solution)));
+    bench.metric(key + "_dom_rows", dominant.model.num_rows());
+    bench.metric(key + "_dom_cols", dominant.model.num_variables());
+    bench.metric(key + "_dom_pivots",
+                 static_cast<double>(pivots(dominant_solution)));
+    bench.metric(key + "_certified", certified ? 1.0 : 0.0);
+    shapes.row()
+        .cell(c.family)
+        .cell(c.n)
+        .cell(full.model.num_rows())
+        .cell(full.model.num_variables())
+        .cell(pivots(full_solution))
+        .cell(dominant.model.num_rows())
+        .cell(dominant.model.num_variables())
+        .cell(pivots(dominant_solution))
+        .cell(certified ? "yes" : "no")
+        .cell(full_ms, 2)
+        .cell(tise_ms, 2)
+        .cell(obj_diff, 9);
+  }
+  bench.print_table("dominant",
+                    "TISE LP at serving sizes (m' = 3m): the paper's full LP "
+                    "(build + solve) vs solve_tise_lp (dominant-point LP, "
+                    "full LP only when the certificate fails)");
+  bench.metric("large_n400_tise_speedup", large_n400_speedup);
+  bench.check("certificate holds on every large-family LP", large_certified);
+  bench.check("certificate fails on every dense-family LP", dense_fell_back);
+  bench.note(
+      "at n = 400 solve_tise_lp answers the paper's LP " +
+      format_double(large_n400_speedup, 1) +
+      "x faster than building and solving it in full: the LP over dominant "
+      "points (one per maximal set of TISE-feasible jobs), without the "
+      "window rows, is an order of magnitude smaller, and its optimum "
+      "satisfied every window row, which certifies it. On the dense family "
+      "the certificate fails and the small solve is paid on top of the "
+      "full one.");
   return bench.finish();
 }

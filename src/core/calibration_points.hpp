@@ -32,6 +32,16 @@ namespace calisched {
 /// pipelines that call this are gated on the unit model by the registry.
 [[nodiscard]] std::vector<Time> tise_calibration_points(const Instance& instance);
 
+/// Indices into `points` (sorted ascending, e.g. tise_calibration_points)
+/// of the dominant points: those whose set of TISE-feasible jobs
+/// J(t) = {j : r_j <= t <= d_j - T} is maximal under inclusion, one per run
+/// of consecutive points with equal sets (its last point). Every point's set
+/// lies inside a dominant point's set. Each J(t) is the set of job ranges
+/// [r_j, d_j - T] that contain t, so these are the maximal cliques of an
+/// interval graph, found by one sweep in O(n log P + P). Ascending.
+[[nodiscard]] std::vector<int> dominant_point_indices(
+    const Instance& instance, const std::vector<Time>& points);
+
 /// Per-type trimmed grids for the generalized model: entry k holds the
 /// canonical points t where some job admits a type-k calibration nested in
 /// its window (r_j <= t + delay_k and t + delay_k + length_k <= d_j).

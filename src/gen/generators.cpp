@@ -13,6 +13,7 @@ Instance shell(const GenParams& params) {
   Instance instance;
   instance.machines = params.machines;
   instance.T = params.T;
+  instance.jobs.reserve(static_cast<std::size_t>(std::max(params.n, 0)));
   return instance;
 }
 

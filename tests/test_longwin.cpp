@@ -4,10 +4,12 @@
 // speed transform, and the full Theorem 12 / Theorem 14 pipelines.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <numeric>
 
+#include "core/calibration_points.hpp"
 #include "gen/generators.hpp"
 #include "util/rng.hpp"
 #include "gen/paper_figures.hpp"
@@ -18,7 +20,9 @@
 #include "longwin/long_pipeline.hpp"
 #include "longwin/rounding.hpp"
 #include "longwin/speed_transform.hpp"
+#include "longwin/tise_lp.hpp"
 #include "longwin/trim_transform.hpp"
+#include "trace/trace.hpp"
 #include "verify/verify.hpp"
 
 namespace calisched {
@@ -40,14 +44,31 @@ TEST(TiseLp, OptimalOnGeneratedInstances) {
     const Instance instance = generate_long_window(long_params(seed));
     const TiseFractional fractional = solve_tise_lp(instance, 3 * instance.machines);
     ASSERT_EQ(fractional.status, LpStatus::kOptimal) << "seed " << seed;
+    // The solution covers the whole grid, whichever LP produced it.
+    ASSERT_EQ(fractional.points, tise_calibration_points(instance));
+    ASSERT_EQ(fractional.calibration_mass.size(), fractional.points.size());
     // Objective is at least the work bound: sum C_t * T >= total work.
     EXPECT_GE(fractional.objective * static_cast<double>(instance.T),
               static_cast<double>(instance.total_work()) - 1e-6);
-    // Each job's assignment sums to 1 (constraint 4).
+    // Each job's assignment sums to 1 (constraint 4) and stays within its
+    // point's mass (constraint 2).
+    std::vector<double> work(fractional.points.size(), 0.0);
     for (std::size_t j = 0; j < instance.size(); ++j) {
       double total = 0.0;
-      for (const auto& [point, value] : fractional.assignment[j]) total += value;
+      for (const auto& [point, value] : fractional.assignment[j]) {
+        total += value;
+        EXPECT_LE(value, fractional.calibration_mass[point] + 1e-6)
+            << "seed " << seed << " job " << j << " point " << point;
+        work[point] += value * static_cast<double>(instance.jobs[j].proc);
+      }
       EXPECT_NEAR(total, 1.0, 1e-6) << "seed " << seed << " job " << j;
+    }
+    // Per-point work capacity (constraint 3).
+    for (std::size_t p = 0; p < fractional.points.size(); ++p) {
+      EXPECT_LE(work[p], static_cast<double>(instance.T) *
+                                 fractional.calibration_mass[p] +
+                             1e-6)
+          << "seed " << seed << " point " << p;
     }
     // Sliding window capacity (constraint 1).
     for (std::size_t p = 0; p < fractional.points.size(); ++p) {
@@ -98,6 +119,76 @@ TEST(TiseLp, InfeasibleWhenWorkExceedsCapacity) {
   // > 2 * T. (Points 0 and 10 are T apart, so both can carry mass 1.)
   const TiseFractional fractional = solve_tise_lp(instance, 1);
   EXPECT_EQ(fractional.status, LpStatus::kInfeasible);
+}
+
+/// Two jobs whose trimmed windows are both [0, 20]: every grid point (0, 10,
+/// 20) has the same job set, so the dominant-point LP keeps only t = 20 and
+/// stacks two calibrations there. On m' = 1 that breaks the window row at
+/// 20, and the full LP has to spread the mass.
+Instance binding_window_instance() {
+  Instance instance;
+  instance.machines = 1;
+  instance.T = 10;
+  instance.jobs = {{0, 0, 30, 10}, {1, 0, 30, 10}};
+  return instance;
+}
+
+TEST(TiseLp, BrokenWindowRowFallsBackToTheFullLp) {
+  const Instance instance = binding_window_instance();
+  const TiseFractional fractional = solve_tise_lp(instance, 1);
+  ASSERT_EQ(fractional.status, LpStatus::kOptimal);
+  EXPECT_TRUE(fractional.window_fallback);
+  EXPECT_NEAR(fractional.objective, 2.0, 1e-6);
+  EXPECT_EQ(fractional.lp_rows, build_tise_lp(instance, 1).model.num_rows());
+  for (const double mass : fractional.calibration_mass) {
+    EXPECT_LE(mass, 1.0 + 1e-6);
+  }
+
+  // The long-window trace records the fallback.
+  TraceContext trace("long_window");
+  LongWindowOptions options;
+  options.trim_multiplier = 1;
+  options.trace = &trace;
+  const LongWindowResult result = solve_long_window(instance, options);
+  ASSERT_TRUE(result.feasible) << result.error;
+  EXPECT_EQ(trace.counter("lp.window_fallback"), 1);
+  EXPECT_TRUE(verify_tise(instance, result.schedule).ok());
+}
+
+TEST(TiseLp, SparseWindowsKeepTheDominantPointSolution) {
+  const Instance instance = generate_long_window(long_params(1));
+  TraceContext trace("long_window");
+  LongWindowOptions options;
+  options.trace = &trace;
+  const LongWindowResult result = solve_long_window(instance, options);
+  ASSERT_TRUE(result.feasible) << result.error;
+  EXPECT_EQ(trace.counter("lp.window_fallback"), 0);
+  // The LP behind the result is the dominant-point one.
+  EXPECT_EQ(trace.counter("lp.rows"),
+            build_dominant_tise_lp(instance).model.num_rows());
+  EXPECT_LT(trace.counter("lp.rows"),
+            build_tise_lp(instance, 3 * instance.machines).model.num_rows());
+}
+
+TEST(TiseLp, StoppedSolveReturnsItsStatusWithoutFallback) {
+  // A timeout of 0 stops the first solve on an instance whose dominant
+  // solution would otherwise fall back.
+  const Instance instance = binding_window_instance();
+  SimplexOptions lp_options;
+  lp_options.limits = RunLimits::deadline_after(std::chrono::milliseconds(0));
+  const TiseFractional fractional = solve_tise_lp(instance, 1, lp_options);
+  EXPECT_EQ(fractional.status, LpStatus::kDeadlineExceeded);
+  EXPECT_FALSE(fractional.window_fallback);
+
+  TraceContext trace("long_window");
+  LongWindowOptions options;
+  options.trim_multiplier = 1;
+  options.limits = RunLimits::deadline_after(std::chrono::milliseconds(0));
+  options.trace = &trace;
+  const LongWindowResult result = solve_long_window(instance, options);
+  EXPECT_FALSE(result.feasible);
+  EXPECT_EQ(result.status, SolveStatus::kDeadlineExceeded);
+  EXPECT_EQ(trace.counter("lp.window_fallback"), 0);
 }
 
 TEST(Rounding, HalfUnitSemanticsOnFigure2) {
@@ -255,17 +346,23 @@ TEST(FractionalEdf, Lemma10Algorithm2IsAtLeastAsGood) {
   // completed too. Observable form: sort both per-job completion
   // positions; Algorithm 2's i-th completion is never later.
   //
-  // Pinned to the dense engine: the comparison is calendar-sensitive, and
-  // the calendar comes from rounding whichever optimal vertex the LP
-  // lands on (engines legitimately differ on degenerate optima).
+  // Pinned to the paper's full LP and the dense engine: the comparison is
+  // calendar-sensitive, and the calendar comes from rounding whichever
+  // optimal vertex the LP lands on (engines, and the dominant-point LP
+  // solve_tise_lp tries first, legitimately differ on degenerate optima).
   SimplexOptions lp_options;
   lp_options.engine = LpEngine::kDenseTableau;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const Instance instance = generate_long_window(long_params(seed, 12));
     const int m_prime = 3 * instance.machines;
-    const TiseFractional lp = solve_tise_lp(instance, m_prime, lp_options);
+    const TiseLpModel built = build_tise_lp(instance, m_prime);
+    const LpSolution lp = solve_lp(built.model, lp_options);
     ASSERT_EQ(lp.status, LpStatus::kOptimal);
-    const auto starts = round_calibrations(lp.points, lp.calibration_mass);
+    std::vector<double> mass;
+    for (const int column : built.calibration_column) {
+      mass.push_back(lp.values[static_cast<std::size_t>(column)]);
+    }
+    const auto starts = round_calibrations(built.points, mass);
     const Schedule calendar = assign_round_robin(instance, starts, 3 * m_prime);
 
     const FractionalEdfResult fractional = fractional_edf(instance, calendar);

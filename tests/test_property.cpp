@@ -11,6 +11,8 @@
 //   P8  the per-type calibration grids collapse to the classic Lemma 3
 //       grid on unit-model instances (the cost-model generalization is
 //       conservative);
+//   P10 the dominant-point TISE LP with its window certificate answers
+//       exactly the paper's LP (status and objective) on every family;
 //   P9  approximation ratios against *certified exact optima* at n in
 //       100..200: the exact state-space engine solves structured wave
 //       instances at sizes far past branch-and-bound reach, and every
@@ -19,7 +21,10 @@
 //       holds against the true optimum, not a proxy lower bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "baselines/baseline.hpp"
 #include "baselines/calibration_bounds.hpp"
@@ -285,6 +290,139 @@ TEST_P(GridCollapseSweep, TypedGridsCollapseToLemma3OnUnitModel) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, GridCollapseSweep,
                          testing::ValuesIn(sweep_cases()), case_name);
+
+// ----------------------------------------------------------------- P10 --
+//
+// solve_tise_lp solves the LP over dominant grid points without the window
+// rows (1) first, and keeps that optimum only when it satisfies (1). The
+// sweep checks that the answer is always the paper's LP's: the status
+// (infeasible included) and objective of the full LP under the dense
+// oracle, and a returned point feasible for the full LP.
+
+/// The long-job instances the certificate sweep covers: the long-window
+/// family, clustered long windows, the long half of a mixed instance, and
+/// a dense long-window family (horizon 3n) whose window rows bind.
+std::vector<std::pair<std::string, Instance>> certificate_families(
+    const SweepCase& c) {
+  const GenParams params = to_params(c);
+  GenParams dense = params;
+  dense.horizon = 3 * c.n;
+  return {
+      {"long", generate_long_window(params)},
+      {"clustered-long", generate_clustered(params, 3, 2 * c.T, true)},
+      {"mixed", split_by_window(generate_mixed(params, 0.5)).long_jobs},
+      {"dense-long", generate_long_window(dense)},
+  };
+}
+
+class TiseCertificateSweep : public testing::TestWithParam<SweepCase> {};
+
+TEST_P(TiseCertificateSweep, MatchesTheFullLpUnderTheDenseOracle) {
+  SimplexOptions oracle;
+  oracle.engine = LpEngine::kDenseTableau;
+  for (const auto& [family, instance] : certificate_families(GetParam())) {
+    if (instance.empty()) continue;
+    for (const int multiplier : {1, 2, 3}) {
+      const int m_prime = multiplier * instance.machines;
+      SCOPED_TRACE(family + " m'=" + std::to_string(m_prime));
+      const TiseLpModel full = build_tise_lp(instance, m_prime);
+      const LpSolution expected = solve_lp(full.model, oracle);
+      const TiseFractional fractional = solve_tise_lp(instance, m_prime);
+      ASSERT_EQ(fractional.status, expected.status);
+      if (expected.status != LpStatus::kOptimal) {
+        // No feasible point can be certified: the answer is the full LP's.
+        EXPECT_TRUE(fractional.window_fallback);
+        continue;
+      }
+      EXPECT_NEAR(fractional.objective, expected.objective, 1e-6);
+      // Read as a point of the full LP, the returned solution is feasible.
+      ASSERT_EQ(fractional.points, full.points);
+      std::vector<double> x(static_cast<std::size_t>(full.model.num_variables()),
+                            0.0);
+      for (std::size_t p = 0; p < full.points.size(); ++p) {
+        x[static_cast<std::size_t>(full.calibration_column[p])] =
+            fractional.calibration_mass[p];
+      }
+      for (std::size_t j = 0; j < instance.size(); ++j) {
+        for (const auto& [point, value] : fractional.assignment[j]) {
+          for (const auto& [full_point, column] : full.assignment_columns[j]) {
+            if (full_point == point) x[static_cast<std::size_t>(column)] = value;
+          }
+        }
+      }
+      EXPECT_LE(full.model.max_violation(x), 1e-6);
+    }
+  }
+}
+
+TEST_P(TiseCertificateSweep, DominantPointsAreTheMaximalJobSets) {
+  for (const auto& [family, instance] : certificate_families(GetParam())) {
+    SCOPED_TRACE(family);
+    const std::vector<Time> points = tise_calibration_points(instance);
+    std::vector<std::vector<std::size_t>> sets(points.size());  // J(t), sorted
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      for (std::size_t j = 0; j < instance.size(); ++j) {
+        const Job& job = instance.jobs[j];
+        if (job.release <= points[p] && points[p] <= job.deadline - instance.T) {
+          sets[p].push_back(j);
+        }
+      }
+    }
+    const auto within = [&](std::size_t a, std::size_t b) {
+      return std::includes(sets[b].begin(), sets[b].end(), sets[a].begin(),
+                           sets[a].end());
+    };
+    const std::vector<int> dominant = dominant_point_indices(instance, points);
+    // Every point's set lies inside a dominant point's set...
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      EXPECT_TRUE(std::any_of(dominant.begin(), dominant.end(),
+                              [&](int d) { return within(p, d); }))
+          << "point " << points[p];
+    }
+    // ... and the dominant sets are maximal and pairwise distinct.
+    for (const int d : dominant) {
+      for (std::size_t q = 0; q < points.size(); ++q) {
+        EXPECT_FALSE(within(d, q) && sets[q].size() > sets[d].size())
+            << "point " << points[d] << " inside " << points[q];
+      }
+      for (const int e : dominant) {
+        if (d != e) {
+          EXPECT_NE(sets[d], sets[e]);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, TiseCertificateSweep,
+                         testing::ValuesIn(sweep_cases()), case_name);
+
+TEST(TiseCertificate, SweepReachesEveryOutcome) {
+  // The sweep is only as strong as its cases: they must include certified
+  // optima, fallbacks to a feasible full LP, and infeasible LPs.
+  int certified = 0;
+  int fallback = 0;
+  int infeasible = 0;
+  for (const SweepCase& c : sweep_cases()) {
+    for (const auto& [family, instance] : certificate_families(c)) {
+      if (instance.empty()) continue;
+      for (const int multiplier : {1, 2, 3}) {
+        const TiseFractional fractional =
+            solve_tise_lp(instance, multiplier * instance.machines);
+        if (fractional.status == LpStatus::kInfeasible) {
+          ++infeasible;
+        } else if (fractional.window_fallback) {
+          ++fallback;
+        } else {
+          ++certified;
+        }
+      }
+    }
+  }
+  EXPECT_GT(certified, 0);
+  EXPECT_GT(fallback, 0);
+  EXPECT_GT(infeasible, 0);
+}
 
 // ------------------------------------------------------------------ P9 --
 //

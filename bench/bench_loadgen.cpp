@@ -6,21 +6,12 @@
 // the cache-hit fast path and the numbers isolate the *front end* —
 // framing, ordering, socket I/O — from solver cost.
 //
-// Three parts:
+// Two parts:
 //   * Flood capacity: rate-0 floods at 1 / 64 / 1024 connections against
 //     the epoll server, best of `trials` runs per point (the generator
 //     shares the host with the server, so single runs are noisy).
 //     Throughput is the meaningful number; flood percentiles mostly
 //     measure position in the flood, so they stay in the table.
-//   * Differential: the same floods against the legacy
-//     thread-per-connection TcpServer at 64 and 1024 connections. The
-//     headline gate — epoll sustains a required multiple of the threaded
-//     server's req/s at 1024 connections — is 5x on hosts with real
-//     parallelism. On a host with <= 2 hardware cores the generator, the
-//     service workers, and both front ends time-share one core, which
-//     compresses the ratio (the threaded server's context-switch burn is
-//     bounded by the same core everything else waits on), so the gate
-//     relaxes to 2x there; the raw speedup is always exported.
 //   * Paced tail latency: a Poisson arrival process well under capacity,
 //     where scheduled-send-to-response percentiles are meaningful; p50/
 //     p99/p999 are exported (advisory: wall-clock flavoured).
@@ -29,7 +20,6 @@
 // error responses, zero per-connection ordering violations, and the
 // service-level hit/miss split (exactly one miss: the warm-up).
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gen/generators.hpp"
@@ -38,7 +28,6 @@
 #include "service/epoll_server.hpp"
 #include "service/loadgen.hpp"
 #include "service/protocol.hpp"
-#include "service/server.hpp"
 #include "service/service.hpp"
 
 namespace {
@@ -61,8 +50,8 @@ std::string solve_body() {
 }
 
 /// Correctness counters accumulated across every trial of every run; the
-/// throughput comparison may take the best trial, but a protocol error in
-/// any trial still fails the bench.
+/// flood rows report the best trial, but a protocol error in any trial
+/// still fails the bench.
 struct Tally {
   std::int64_t errors = 0;
   std::int64_t order_violations = 0;
@@ -106,11 +95,9 @@ int main(int argc, char** argv) {
     }
     return best;
   };
-  const auto flood_row = [](Table& table, const std::string& front_end,
-                            std::size_t connections,
+  const auto flood_row = [](Table& table, std::size_t connections,
                             const LoadGenReport& report) {
     table.row()
-        .cell(front_end)
         .cell(static_cast<std::int64_t>(connections))
         .cell(report.sent)
         .cell(report.received)
@@ -147,53 +134,22 @@ int main(int argc, char** argv) {
   }
 
   Table& floods = bench.table(
-      "floods", {"front-end", "conns", "requests", "received", "req/s",
-                 "p50-us", "p99-us", "p999-us"});
-  double epoll_1024_rate = 0.0;
-  std::int64_t epoll_received = 0;
+      "floods", {"conns", "requests", "received", "req/s", "p50-us",
+                 "p99-us", "p999-us"});
+  std::int64_t flood_received = 0;
   for (const std::size_t connections : {std::size_t{1}, std::size_t{64},
                                         std::size_t{1024}}) {
     const LoadGenReport report = best_flood(epoll_port, connections);
-    flood_row(floods, "epoll", connections, report);
+    flood_row(floods, connections, report);
     bench.metric("flood_c" + std::to_string(connections) + "_received_per_s",
                  report.received_per_s);
-    epoll_received += report.received;
-    if (connections == 1024) epoll_1024_rate = report.received_per_s;
+    flood_received += report.received;
   }
   bench.metric("flood_received_best_runs",
-               static_cast<double>(epoll_received));
-
-  // The legacy thread-per-connection front end on the same (warm)
-  // service: the differential baseline for the headline check.
-  TcpServer threaded_server(service);
-  const int threaded_port = threaded_server.start(0);
-  std::thread serving([&threaded_server] { threaded_server.serve(); });
-  double threaded_1024_rate = 0.0;
-  for (const std::size_t connections : {std::size_t{64}, std::size_t{1024}}) {
-    const LoadGenReport report = best_flood(threaded_port, connections);
-    flood_row(floods, "threads", connections, report);
-    bench.metric("threaded_c" + std::to_string(connections) +
-                     "_received_per_s",
-                 report.received_per_s);
-    if (connections == 1024) threaded_1024_rate = report.received_per_s;
-  }
-  threaded_server.stop();
-  serving.join();
+               static_cast<double>(flood_received));
   bench.print_table("floods", "rate-0 floods of " + std::to_string(requests) +
                                   " cache-hit solve requests, best of " +
                                   std::to_string(trials) + " runs");
-
-  const double speedup = threaded_1024_rate > 0.0
-                             ? epoll_1024_rate / threaded_1024_rate
-                             : 0.0;
-  const unsigned cores = std::thread::hardware_concurrency();
-  const double required = cores > 2 ? 5.0 : 2.0;
-  bench.metric("hardware_cores", static_cast<double>(cores));
-  bench.metric("epoll_vs_threads_speedup_c1024", speedup);
-  bench.metric("required_speedup_multiple", required);
-  bench.check("epoll sustains the required multiple of threaded req/s "
-              "at 1024 connections",
-              speedup >= required);
 
   // Paced run: Poisson arrivals well under capacity, so the tail
   // percentiles measure service latency rather than flood position.
@@ -251,19 +207,13 @@ int main(int argc, char** argv) {
       "single warm-up miss the service answers from the sharded result "
       "cache and the run measures the front end alone. The epoll server "
       "(2 I/O threads) keeps per-connection state on one loop and batches "
-      "responses into single write() calls, while the legacy server burns "
-      "two threads per connection; at 1024 connections (2048 threads) the "
-      "throughput ratio is the headline gate: 5x on multi-core hosts, "
-      "relaxed to 2x when <= 2 hardware cores force the generator, the "
-      "workers, and both front ends to time-share (this host: " +
-      std::to_string(cores) +
-      " core(s), measured " + format_double(speedup, 1) +
-      "x). Flood percentiles measure position in the flood and stay in "
-      "the table; the Poisson-paced run at " +
+      "responses into single write() calls. Flood percentiles measure "
+      "position in the flood and stay in the table; the Poisson-paced run "
+      "at " +
       format_double(paced_rate, 0) +
-      " req/s is the one whose p50/p99/p999 mean service latency. Rates, "
-      "latencies, and the speedup are advisory for the regression "
-      "checker; the counted gates are completion, zero errors, zero "
-      "ordering violations, and the exact hit/miss split.");
+      " req/s is the one whose p50/p99/p999 mean service latency. Rates "
+      "and latencies are advisory for the regression checker; the counted "
+      "gates are completion, zero errors, zero ordering violations, and "
+      "the exact hit/miss split.");
   return bench.finish();
 }

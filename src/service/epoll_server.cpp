@@ -10,8 +10,8 @@
 
 #include <atomic>
 #include <cerrno>
-#include <cstring>
-#include <deque>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -21,10 +21,7 @@
 #include <utility>
 #include <vector>
 
-#include "service/framing.hpp"
-#include "service/protocol.hpp"
 #include "service/server.hpp"
-#include "service/subscribe.hpp"
 
 namespace calisched {
 
@@ -35,13 +32,6 @@ namespace {
 constexpr std::uint64_t kListenerTag = 0;
 constexpr std::uint64_t kInboxTag = 1;
 constexpr std::uint64_t kFirstConnectionTag = 2;
-
-bool is_blank_line(std::string_view line) {
-  for (const char c : line) {
-    if (c != ' ' && c != '\t' && c != '\r') return false;
-  }
-  return true;
-}
 
 /// Cross-thread mailbox of one loop: completed-solve wakeups and newly
 /// accepted connections land here; the eventfd makes epoll_wait return.
@@ -90,41 +80,21 @@ struct Inbox {
   bool stop = false;
 };
 
-/// One ordered response slot. Mirrors the stdio writer-FIFO thunks:
-/// kText is a response already rendered, kSolve waits on the Pending,
-/// kStats snapshots the service when (and only when) it reaches the head.
-struct Slot {
-  enum class Kind { kText, kSolve, kStats };
-  Kind kind = Kind::kText;
-  std::string text;
-  SolveService::PendingPtr pending;
-  JsonValue id;
-  bool want_schedule = false;
-  std::int64_t lines_seen = 0;
-  std::int64_t malformed_seen = 0;
-};
-
+/// Socket state around one ServeConnection engine, owned and driven by one
+/// loop thread for its whole life. The loop closes it once the engine's
+/// reading is done and both its FIFO and the output buffer have drained.
 struct Connection {
-  Connection(int fd_in, std::uint64_t tag_in, std::size_t max_line_bytes)
-      : fd(fd_in), tag(tag_in), framer(max_line_bytes) {}
+  Connection(int fd_in, std::uint64_t tag_in, SolveService& service,
+             std::size_t max_line_bytes, std::function<void()> on_solve_ready)
+      : fd(fd_in),
+        tag(tag_in),
+        engine(service, max_line_bytes, std::move(on_solve_ready)) {}
 
   int fd;
   std::uint64_t tag;
-  LineFramer framer;
-  /// The connection's subscribe session. Owned by this connection and
-  /// driven only from its loop thread (process_line), so it needs no
-  /// locking; responses it produces are ready text by the time they are
-  /// queued — exactly like the stdio reader.
-  OnlineSession session;
-  std::deque<Slot> slots;
+  ServeConnection engine;
   std::string out;
   std::size_t out_pos = 0;
-  std::int64_t lines = 0;
-  std::int64_t malformed = 0;
-  bool stop_reading = false;     ///< saw shutdown / EOF / fatal framing
-  bool close_after_flush = false;
-  bool saw_shutdown = false;
-  bool overflowed = false;
   bool reading_disabled = false; ///< EPOLLIN dropped for backpressure
   bool want_write = false;       ///< EPOLLOUT currently registered
 };
@@ -161,7 +131,6 @@ struct EpollServer::Impl {
     void add_connection(int fd);
     void handle_io(std::uint64_t tag, std::uint32_t events);
     void handle_read(Connection& c);
-    bool process_line(Connection& c, std::string_view line);
     /// pump/flush return false when they destroyed the connection — the
     /// caller must not touch `c` afterwards.
     [[nodiscard]] bool pump(Connection& c);
@@ -338,8 +307,15 @@ void EpollServer::Impl::Loop::accept_ready() {
 
 void EpollServer::Impl::Loop::add_connection(int fd) {
   const std::uint64_t tag = next_tag++;
-  auto connection =
-      std::make_unique<Connection>(fd, tag, impl->options.max_line_bytes);
+  // Solve-completion hook: poke this loop's inbox. weak_ptr: the solve may
+  // outlive the server (the service drains after teardown).
+  std::weak_ptr<Inbox> weak = inbox;
+  auto connection = std::make_unique<Connection>(
+      fd, tag, *impl->service, impl->options.max_line_bytes, [weak, tag] {
+        if (const std::shared_ptr<Inbox> box = weak.lock()) {
+          box->post_ready(tag);
+        }
+      });
   epoll_event event{};
   event.events = EPOLLIN;
   event.data.u64 = tag;
@@ -362,14 +338,15 @@ void EpollServer::Impl::Loop::handle_io(std::uint64_t tag,
   // the last pending solve lands. A hung-up peer can never receive the
   // queued responses anyway — tear the connection down.
   if ((events & EPOLLERR) != 0 ||
-      ((events & EPOLLHUP) != 0 && (c.stop_reading || c.reading_disabled))) {
+      ((events & EPOLLHUP) != 0 &&
+       (c.engine.reading_done() || c.reading_disabled))) {
     destroy(c);
     return;
   }
   // EPOLLHUP still delivers through read(): drain whatever the peer sent
   // before it closed, then the 0-byte read runs the EOF path.
   if ((events & (EPOLLIN | EPOLLHUP)) != 0 && !c.reading_disabled &&
-      !c.stop_reading) {
+      !c.engine.reading_done()) {
     handle_read(c);
     if (conns.find(tag) == conns.end()) return;  // destroyed during read
   }
@@ -384,24 +361,12 @@ void EpollServer::Impl::Loop::handle_io(std::uint64_t tag,
 void EpollServer::Impl::Loop::handle_read(Connection& c) {
   char buffer[65536];
   bool eof = false;
-  while (!c.stop_reading) {
+  while (!c.engine.reading_done()) {
     const ssize_t count = ::read(c.fd, buffer, sizeof buffer);
     if (count > 0) {
-      const auto result = c.framer.feed(
-          std::string_view(buffer, static_cast<std::size_t>(count)),
-          [this, &c](std::string_view line) { return process_line(c, line); });
-      if (result == LineFramer::FeedResult::kOverflow) {
-        // Unrecoverable framing: answer once, flush, close.
-        c.overflowed = true;
-        impl->total_overflows.fetch_add(1, std::memory_order_relaxed);
-        Slot slot;
-        slot.text = dump_response(make_error_response(
-            JsonValue(),
-            "request line exceeds " +
-                std::to_string(impl->options.max_line_bytes) + " bytes"));
-        c.slots.push_back(std::move(slot));
-        c.stop_reading = true;
-        c.close_after_flush = true;
+      // false: a shutdown request or an over-long line ended reading.
+      if (!c.engine.feed(
+              std::string_view(buffer, static_cast<std::size_t>(count)))) {
         break;
       }
       // Serialize (and usually flush) what this chunk produced before
@@ -411,7 +376,7 @@ void EpollServer::Impl::Loop::handle_read(Connection& c) {
       // bound. Either way reading stops until the backlog drains.
       if (!pump(c)) return;
       if (c.out.size() - c.out_pos > impl->options.write_high_watermark ||
-          c.slots.size() > impl->options.max_queued_slots) {
+          c.engine.queued() > impl->options.max_queued_slots) {
         c.reading_disabled = true;
         update_interest(c);
         return;
@@ -427,149 +392,28 @@ void EpollServer::Impl::Loop::handle_read(Connection& c) {
     destroy(c);
     return;
   }
-  if (eof && !c.stop_reading) {
-    (void)c.framer.finish([this, &c](std::string_view line) {
-      return process_line(c, line);
-    });
-  }
-  if (eof) {
-    c.stop_reading = true;
-    c.close_after_flush = true;
-    // Parity with serve_connection: an abandoned pause (EOF without
-    // resume) must not leave queued solves — and the whole service —
-    // wedged.
-    impl->service->resume();
-  }
+  if (eof) c.engine.finish();
   // A done-reading connection must drop EPOLLIN, or level-triggered
   // readiness (EOF is "readable" forever) spins until the last pending
   // solve lands.
-  if (c.stop_reading) update_interest(c);
+  if (c.engine.reading_done()) update_interest(c);
   (void)pump(c);
 }
 
-bool EpollServer::Impl::Loop::process_line(Connection& c,
-                                           std::string_view line) {
-  if (is_blank_line(line)) return true;
-  ++c.lines;
-  const ParsedRequest parsed = parse_request(line);
-  if (!parsed.ok) {
-    ++c.malformed;
-    Slot slot;
-    slot.text = dump_response(make_error_response(parsed.id, parsed.error));
-    c.slots.push_back(std::move(slot));
-    return true;
-  }
-  const ServiceRequest& request = parsed.request;
-  switch (request.type) {
-    case RequestType::kPing:
-    case RequestType::kPause:
-    case RequestType::kResume: {
-      if (request.type == RequestType::kPause) impl->service->pause();
-      if (request.type == RequestType::kResume) impl->service->resume();
-      const char* op = request.type == RequestType::kPing     ? "ping"
-                       : request.type == RequestType::kPause  ? "pause"
-                                                              : "resume";
-      Slot slot;
-      slot.text = dump_response(make_ack_response(parsed.id, op));
-      c.slots.push_back(std::move(slot));
-      return true;
-    }
-    case RequestType::kStats: {
-      Slot slot;
-      slot.kind = Slot::Kind::kStats;
-      slot.id = parsed.id;
-      slot.lines_seen = c.lines;
-      slot.malformed_seen = c.malformed;
-      c.slots.push_back(std::move(slot));
-      return true;
-    }
-    case RequestType::kShutdown: {
-      Slot slot;
-      slot.text = dump_response(make_ack_response(parsed.id, "shutdown"));
-      c.slots.push_back(std::move(slot));
-      c.saw_shutdown = true;
-      c.stop_reading = true;
-      c.close_after_flush = true;
-      impl->shutdown_requested.store(true, std::memory_order_relaxed);
-      return false;  // lines after shutdown are never consumed (stdio parity)
-    }
-    case RequestType::kSubscribe:
-    case RequestType::kArrive:
-    case RequestType::kFinalize: {
-      Slot slot;
-      slot.text = c.session.handle(request);
-      c.slots.push_back(std::move(slot));
-      return true;
-    }
-    case RequestType::kSolve: {
-      Slot slot;
-      slot.kind = Slot::Kind::kSolve;
-      slot.pending = impl->service->submit(request);
-      slot.id = parsed.id;
-      slot.want_schedule = request.want_schedule;
-      const bool ready = slot.pending->ready();
-      if (!ready) {
-        // Completion hook: poke this loop's inbox. weak_ptr: the solve
-        // may outlive the server (service drains after teardown).
-        std::weak_ptr<Inbox> weak = inbox;
-        const std::uint64_t tag = c.tag;
-        slot.pending->on_ready([weak, tag] {
-          if (const std::shared_ptr<Inbox> box = weak.lock()) {
-            box->post_ready(tag);
-          }
-        });
-      }
-      c.slots.push_back(std::move(slot));
-      return true;
-    }
-  }
-  return true;
-}
-
 bool EpollServer::Impl::Loop::pump(Connection& c) {
+  const std::size_t watermark = impl->options.write_high_watermark;
   for (;;) {
-    while (!c.slots.empty()) {
-      // Bound the serialized backlog too: flush what we have first.
-      if (c.out.size() - c.out_pos > impl->options.write_high_watermark) break;
-      Slot& slot = c.slots.front();
-      if (slot.kind == Slot::Kind::kSolve && !slot.pending->ready()) break;
-      switch (slot.kind) {
-        case Slot::Kind::kText:
-          c.out += slot.text;
-          break;
-        case Slot::Kind::kSolve: {
-          const SolveOutcome& outcome = slot.pending->outcome();
-          c.out +=
-              outcome.rejected
-                  ? dump_response(make_reject_response(slot.id, outcome.error))
-                  : dump_response(make_result_response(slot.id, outcome,
-                                                       slot.want_schedule));
-          break;
-        }
-        case Slot::Kind::kStats:
-          // Head of the FIFO: every earlier response has been serialized,
-          // i.e. every earlier request completed — the same snapshot point
-          // as the stdio writer thread.
-          c.out += dump_response(make_stats_response(slot.id,
-                                                     impl->service->stats(),
-                                                     slot.lines_seen,
-                                                     slot.malformed_seen));
-          break;
-      }
-      c.out += '\n';
-      c.slots.pop_front();
-    }
+    // Bound the serialized backlog too: render only while the unflushed
+    // bytes stay under the watermark.
+    c.engine.render_ready(c.out, c.out_pos + watermark);
     if (!flush(c)) return false;
     // flush() survived, so `c` is alive. If it fully drained a backlog
-    // that broke the serialization loop at the watermark, the remaining
-    // slots have no other wakeup (no read, no solve completion may ever
-    // come) — go around again. Exit only when no progress is possible:
-    // slots empty, head solve still pending, or the watermark still
-    // tripped (a blocked write; EPOLLOUT re-pumps).
-    if (c.slots.empty()) return true;
-    const Slot& head = c.slots.front();
-    if (head.kind == Slot::Kind::kSolve && !head.pending->ready()) return true;
-    if (c.out.size() - c.out_pos > impl->options.write_high_watermark) {
+    // that stopped rendering at the watermark, the remaining slots have no
+    // other wakeup (no read, no solve completion may ever come) — go
+    // around again. Exit only when no progress is possible: head not
+    // ready, or the watermark still tripped (a blocked write; EPOLLOUT
+    // re-pumps).
+    if (!c.engine.head_ready() || c.out.size() - c.out_pos > watermark) {
       return true;
     }
   }
@@ -602,13 +446,13 @@ bool EpollServer::Impl::Loop::flush(Connection& c) {
     c.want_write = false;
     update_interest(c);
   }
-  if (c.reading_disabled && !c.stop_reading &&
-      c.slots.size() <= impl->options.max_queued_slots) {
+  if (c.reading_disabled && !c.engine.reading_done() &&
+      c.engine.queued() <= impl->options.max_queued_slots) {
     c.reading_disabled = false;
     update_interest(c);  // level-triggered: pending bytes re-fire EPOLLIN
   }
-  if (c.close_after_flush && c.slots.empty()) {
-    const bool shutdown_server = c.saw_shutdown;
+  if (c.engine.reading_done() && c.engine.queued() == 0) {
+    const bool shutdown_server = c.engine.shutdown_requested();
     destroy(c);
     if (shutdown_server) impl->request_stop();
     return false;
@@ -619,21 +463,29 @@ bool EpollServer::Impl::Loop::flush(Connection& c) {
 void EpollServer::Impl::Loop::update_interest(Connection& c) {
   epoll_event event{};
   event.events = 0;
-  if (!c.reading_disabled && !c.stop_reading) event.events |= EPOLLIN;
+  if (!c.reading_disabled && !c.engine.reading_done()) {
+    event.events |= EPOLLIN;
+  }
   if (c.want_write) event.events |= EPOLLOUT;
   event.data.u64 = c.tag;
   ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, c.fd, &event);
 }
 
 void EpollServer::Impl::Loop::destroy(Connection& c) {
-  // Abandoned-pause parity with serve_connection, on *every* teardown
-  // path — clean EOF resumed already, but an abrupt one (RST/EPOLLERR,
-  // EPOLLHUP, EPIPE mid-flush) must not leave the service wedged either.
-  // Idempotent, and any disconnect releasing a pause is the established
-  // cross-front-end semantic.
+  // Any disconnect releases a pause, on *every* teardown path — clean EOF
+  // resumed already (ServeConnection::finish), but an abrupt one
+  // (RST/EPOLLERR, EPOLLHUP, EPIPE mid-flush) must not leave the service
+  // wedged either. Idempotent.
   impl->service->resume();
-  impl->total_lines.fetch_add(c.lines, std::memory_order_relaxed);
-  impl->total_malformed.fetch_add(c.malformed, std::memory_order_relaxed);
+  impl->total_lines.fetch_add(c.engine.lines(), std::memory_order_relaxed);
+  impl->total_malformed.fetch_add(c.engine.malformed(),
+                                  std::memory_order_relaxed);
+  if (c.engine.overflowed()) {
+    impl->total_overflows.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (c.engine.shutdown_requested()) {
+    impl->shutdown_requested.store(true, std::memory_order_relaxed);
+  }
   ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, c.fd, nullptr);
   ::shutdown(c.fd, SHUT_RDWR);
   ::close(c.fd);

@@ -1,26 +1,21 @@
-// Nonblocking epoll front end of the solve service.
+// Nonblocking epoll front end of the solve service: the TCP side of the
+// per-connection ServeConnection engine (server.hpp).
 //
-// Replaces the thread-per-connection TcpServer as the default TCP path
-// (the old server stays available as the differential baseline E19
-// measures against). A fixed small set of I/O threads each runs one
-// level-triggered epoll loop; every accepted connection is owned by
-// exactly one loop for its whole life, so connection state is never
-// shared between threads — the only cross-thread traffic is a completed
-// solve poking its loop's eventfd inbox.
+// A fixed small set of I/O threads each runs one level-triggered epoll
+// loop; every accepted connection is owned by exactly one loop for its
+// whole life, so connection state is never shared between threads — the
+// only cross-thread traffic is a completed solve poking its loop's
+// eventfd inbox.
 //
-// Per connection:
-//   * reads drain into a LineFramer (growable buffer scanned for
-//     newlines — no istream, no per-line allocation); each complete line
-//     is parsed and answered exactly like the blocking path;
-//   * responses queue as ordered slots — ready text, a pending solve, or
-//     a deferred stats snapshot — and a slot is serialized only when it
-//     reaches the head, which preserves the writer-FIFO contract: one
-//     response line per request line, in request arrival order, so a
-//     response stream is byte-identical to the stdio path (and across
-//     any worker-thread count);
-//   * writes are batched: everything serializable goes into one output
-//     buffer flushed with as few write() calls as the socket accepts
-//     (EPOLLOUT is registered only while a flush is blocked);
+// Per connection, the engine frames, dispatches and orders the requests
+// (see server.hpp for the ordering contract); the loop keeps only socket
+// I/O:
+//   * reads drain into the engine, which queues one response slot per
+//     request line;
+//   * writes are batched: every slot that is ready at the head renders
+//     into one output buffer flushed with as few write() calls as the
+//     socket accepts (EPOLLOUT is registered only while a flush is
+//     blocked);
 //   * the write queue is bounded: past `write_high_watermark` buffered
 //     bytes — or past `max_queued_slots` response slots queued behind an
 //     incomplete solve, where no bytes serialize at all — the loop stops
@@ -29,13 +24,9 @@
 //     pipelining behind a slow solve throttles itself instead of growing
 //     the server.
 //
-// Ordering-contract sketch: slots are appended in request order (the
-// framer delivers lines in byte order); only the head slot may
-// serialize; the output buffer is append-only and written in order; TCP
-// preserves byte order. Therefore response order == request order, and a
-// "stats" slot serializes only after every earlier response was built —
-// the same point in the request stream where the stdio writer runs its
-// stats thunk.
+// Slots render only at the head and the output buffer is append-only and
+// written in order, and TCP preserves byte order, so response order ==
+// request order and a stream is byte-identical to the stdio front end's.
 //
 // A line exceeding `max_line_bytes` cannot be resynced (its terminator
 // may never arrive): the connection gets one structured error response
@@ -46,6 +37,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "service/server.hpp"
 #include "service/service.hpp"
 
 namespace calisched {
@@ -58,7 +50,7 @@ struct EpollServerOptions {
   /// Event-loop threads. Connections are assigned round-robin at accept.
   std::size_t io_threads = 1;
   /// Framing limit: one request line, terminator excluded.
-  std::size_t max_line_bytes = 1 << 20;
+  std::size_t max_line_bytes = kMaxRequestLineBytes;
   /// Stop reading from a connection while more than this many response
   /// bytes are queued for it (slow-reader backpressure).
   std::size_t write_high_watermark = 4u << 20;

@@ -1,23 +1,21 @@
-// Incremental NDJSON line framing for the nonblocking front ends.
+// Incremental NDJSON line framing for the serve front ends.
 //
-// The epoll server reads whatever the socket has into a per-connection
-// growable buffer and needs back the complete lines — however the bytes
-// were split across reads: one request per read, half a request, twenty
-// requests and a torn twenty-first. LineFramer owns that buffer and the
-// scan state. Lines are handed out as string_views into the buffer (no
-// per-line allocation, no istream); the consumed prefix is compacted
-// once per feed, after the views die.
+// Both front ends read whatever their source has — a socket for the epoll
+// server, a stream buffer for --stdio — and need back the complete lines,
+// however the bytes were split across reads: one request per read, half a
+// request, twenty requests and a torn twenty-first. LineFramer owns that
+// buffer and the scan state. Lines are handed out as string_views into the
+// buffer (no per-line allocation, no istream); the consumed prefix is
+// compacted once per feed, after the views die.
 //
-// Framing matches the blocking path byte for byte: '\n' terminates a
-// line, one trailing '\r' is stripped (std::getline keeps it, but the
-// blocking path's blank-line filter tolerates it — the framer strips so
-// downstream code sees identical lines either way), and a final unviewed
-// partial line at EOF is still a line (getline semantics).
+// Framing follows std::getline: '\n' terminates a line, and a final
+// unterminated line at EOF is still a line. One trailing '\r' is stripped,
+// so CRLF clients produce the same lines as LF clients.
 //
 // The one failure mode is a line that outgrows the limit — terminated or
 // not (an unterminated one can never resync: the newline that would end
-// the giant line may never come). feed() reports overflow and the server
-// answers with one structured error and closes.
+// the giant line may never come). feed() reports overflow and the
+// connection answers with one structured error and stops reading.
 #pragma once
 
 #include <algorithm>
@@ -101,6 +99,9 @@ class LineFramer {
     return FeedResult::kOk;
   }
 
+  [[nodiscard]] std::size_t max_line_bytes() const noexcept {
+    return max_line_bytes_;
+  }
   /// Bytes currently buffered (the torn tail of the last read).
   [[nodiscard]] std::size_t buffered() const noexcept {
     return buffer_.size();

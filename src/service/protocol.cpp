@@ -1,6 +1,7 @@
 #include "service/protocol.hpp"
 
 #include <exception>
+#include <limits>
 #include <utility>
 
 namespace calisched {
@@ -40,7 +41,14 @@ bool parse_jobs(const JsonValue& value, std::vector<Job>* out,
         return false;
       }
     }
-    job.id = static_cast<JobId>(fields[0].as_int());
+    const std::int64_t id = fields[0].as_int();
+    if (id < std::numeric_limits<JobId>::min() ||
+        id > std::numeric_limits<JobId>::max()) {
+      *error = "field 'jobs': job id " + std::to_string(id) +
+               " does not fit a 32-bit integer";
+      return false;
+    }
+    job.id = static_cast<JobId>(id);
     job.release = fields[1].as_int();
     job.deadline = fields[2].as_int();
     job.proc = fields[3].as_int();

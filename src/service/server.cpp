@@ -1,73 +1,21 @@
 #include "service/server.hpp"
 
-#include "service/subscribe.hpp"
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
-#include <condition_variable>
-#include <deque>
-#include <functional>
+#include <algorithm>
 #include <istream>
-#include <mutex>
 #include <ostream>
-#include <stdexcept>
-#include <string>
 #include <thread>
 #include <utility>
-#include <vector>
 
 namespace calisched {
 
 namespace {
 
-/// FIFO of response thunks. The reader pushes one thunk per request line;
-/// the writer thread pops in order, runs the thunk (which may block on a
-/// Pending), and writes the line. This is the whole ordering mechanism.
-class ResponseQueue {
- public:
-  void push(std::function<std::string()> thunk) {
-    {
-      std::scoped_lock lock(mutex_);
-      thunks_.push_back(std::move(thunk));
-    }
-    cv_.notify_one();
+bool is_blank(std::string_view line) {
+  for (const char c : line) {
+    if (c != ' ' && c != '\t' && c != '\r') return false;
   }
-
-  void close() {
-    {
-      std::scoped_lock lock(mutex_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  void drain(std::ostream& out) {
-    for (;;) {
-      std::function<std::string()> thunk;
-      {
-        std::unique_lock lock(mutex_);
-        cv_.wait(lock, [this] { return closed_ || !thunks_.empty(); });
-        if (thunks_.empty()) return;
-        thunk = std::move(thunks_.front());
-        thunks_.pop_front();
-      }
-      out << thunk() << '\n';
-      out.flush();
-    }
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::function<std::string()>> thunks_;
-  bool closed_ = false;
-};
+  return true;
+}
 
 }  // namespace
 
@@ -98,105 +46,209 @@ JsonValue make_stats_response(const JsonValue& id, const ServiceStats& stats,
   return JsonValue(std::move(object));
 }
 
-namespace {
+// -------------------------------------------------------- ServeConnection --
 
-bool is_blank(const std::string& line) {
-  for (const char c : line) {
-    if (c != ' ' && c != '\t' && c != '\r') return false;
+ServeConnection::ServeConnection(SolveService& service,
+                                 std::size_t max_line_bytes,
+                                 std::function<void()> on_solve_ready)
+    : service_(&service),
+      on_solve_ready_(std::move(on_solve_ready)),
+      framer_(max_line_bytes) {}
+
+bool ServeConnection::feed(std::string_view bytes) {
+  if (done_) return false;
+  const auto result = framer_.feed(
+      bytes, [this](std::string_view line) { return handle_line(line); });
+  if (result == LineFramer::FeedResult::kOverflow) {
+    // Unrecoverable framing: the terminator that would end the line may
+    // never come. Answer once and stop reading.
+    overflowed_ = true;
+    push_text(dump_response(make_error_response(
+        JsonValue(), "request line exceeds " +
+                         std::to_string(framer_.max_line_bytes()) +
+                         " bytes")));
+    stop_reading();
+  }
+  return !done_;
+}
+
+void ServeConnection::finish() {
+  if (!done_) {
+    (void)framer_.finish(
+        [this](std::string_view line) { return handle_line(line); });
+    stop_reading();
+  }
+  service_->resume();
+}
+
+bool ServeConnection::handle_line(std::string_view line) {
+  if (is_blank(line)) return true;
+  ++lines_;
+  const ParsedRequest parsed = parse_request(line);
+  if (!parsed.ok) {
+    ++malformed_;
+    push_text(dump_response(make_error_response(parsed.id, parsed.error)));
+    return true;
+  }
+  const ServiceRequest& request = parsed.request;
+  switch (request.type) {
+    case RequestType::kPing:
+      push_text(dump_response(make_ack_response(parsed.id, "ping")));
+      return true;
+    case RequestType::kPause:
+      service_->pause();
+      push_text(dump_response(make_ack_response(parsed.id, "pause")));
+      return true;
+    case RequestType::kResume:
+      service_->resume();
+      push_text(dump_response(make_ack_response(parsed.id, "resume")));
+      return true;
+    case RequestType::kStats: {
+      Slot slot;
+      slot.kind = Slot::Kind::kStats;
+      slot.id = parsed.id;
+      slot.lines_seen = lines_;
+      slot.malformed_seen = malformed_;
+      push(std::move(slot));
+      return true;
+    }
+    case RequestType::kShutdown:
+      push_text(dump_response(make_ack_response(parsed.id, "shutdown")));
+      shutdown_requested_ = true;
+      stop_reading();
+      return false;  // lines after shutdown are never consumed
+    case RequestType::kSubscribe:
+    case RequestType::kArrive:
+    case RequestType::kFinalize:
+      push_text(session_.handle(request));
+      return true;
+    case RequestType::kSolve: {
+      Slot slot;
+      slot.kind = Slot::Kind::kSolve;
+      slot.pending = service_->submit(request);
+      slot.id = parsed.id;
+      slot.want_schedule = request.want_schedule;
+      if (on_solve_ready_ && !slot.pending->ready()) {
+        slot.pending->on_ready(on_solve_ready_);
+      }
+      push(std::move(slot));
+      return true;
+    }
   }
   return true;
 }
 
-}  // namespace
+void ServeConnection::push(Slot slot) {
+  {
+    std::scoped_lock lock(mutex_);
+    slots_.push_back(std::move(slot));
+  }
+  slot_cv_.notify_one();
+}
+
+void ServeConnection::push_text(std::string text) {
+  Slot slot;
+  slot.text = std::move(text);
+  push(std::move(slot));
+}
+
+void ServeConnection::stop_reading() {
+  {
+    std::scoped_lock lock(mutex_);
+    done_ = true;
+  }
+  slot_cv_.notify_all();
+}
+
+bool ServeConnection::head_ready() const {
+  std::scoped_lock lock(mutex_);
+  return !slots_.empty() && slots_.front().ready();
+}
+
+void ServeConnection::render_ready(std::string& out, std::size_t limit) {
+  while (out.size() <= limit) {
+    Slot slot;
+    {
+      std::scoped_lock lock(mutex_);
+      if (slots_.empty() || !slots_.front().ready()) return;
+      slot = std::move(slots_.front());
+      slots_.pop_front();
+    }
+    render(slot, out);
+  }
+}
+
+bool ServeConnection::render_next(std::string& out) {
+  Slot slot;
+  {
+    std::unique_lock lock(mutex_);
+    slot_cv_.wait(lock, [this] { return done_ || !slots_.empty(); });
+    if (slots_.empty()) return false;
+    slot = std::move(slots_.front());
+    slots_.pop_front();
+  }
+  render(slot, out);
+  return true;
+}
+
+std::size_t ServeConnection::queued() const {
+  std::scoped_lock lock(mutex_);
+  return slots_.size();
+}
+
+void ServeConnection::render(const Slot& slot, std::string& out) const {
+  switch (slot.kind) {
+    case Slot::Kind::kText:
+      out += slot.text;
+      break;
+    case Slot::Kind::kSolve: {
+      const SolveOutcome& outcome = slot.pending->wait();
+      out += outcome.rejected
+                 ? dump_response(make_reject_response(slot.id, outcome.error))
+                 : dump_response(make_result_response(slot.id, outcome,
+                                                      slot.want_schedule));
+      break;
+    }
+    case Slot::Kind::kStats:
+      // Head of the FIFO: every earlier request has been answered.
+      out += dump_response(make_stats_response(
+          slot.id, service_->stats(), slot.lines_seen, slot.malformed_seen));
+      break;
+  }
+  out += '\n';
+}
+
+// --------------------------------------------------------- stdio front end --
 
 ServeReport serve_connection(SolveService& service, std::istream& in,
                              std::ostream& out) {
-  ServeReport report;
-  ResponseQueue queue;
-  std::thread writer([&queue, &out] { queue.drain(out); });
-  // At most one live subscribe session per connection; it runs entirely
-  // on this reader thread, so its responses are ready text by the time
-  // they are queued.
-  OnlineSession session;
-
-  std::string line;
-  while (!report.shutdown_requested && std::getline(in, line)) {
-    if (is_blank(line)) continue;
-    ++report.lines;
-    const ParsedRequest parsed = parse_request(line);
-    if (!parsed.ok) {
-      ++report.malformed;
-      std::string text =
-          dump_response(make_error_response(parsed.id, parsed.error));
-      queue.push([text] { return text; });
-      continue;
+  ServeConnection connection(service);
+  std::thread writer([&connection, &out] {
+    std::string line;
+    while (connection.render_next(line)) {
+      out << line;
+      out.flush();
+      line.clear();
     }
-    const ServiceRequest& request = parsed.request;
-    const JsonValue id = parsed.id;
-    switch (request.type) {
-      case RequestType::kPing: {
-        std::string text = dump_response(make_ack_response(id, "ping"));
-        queue.push([text] { return text; });
-        break;
-      }
-      case RequestType::kPause: {
-        service.pause();
-        std::string text = dump_response(make_ack_response(id, "pause"));
-        queue.push([text] { return text; });
-        break;
-      }
-      case RequestType::kResume: {
-        service.resume();
-        std::string text = dump_response(make_ack_response(id, "resume"));
-        queue.push([text] { return text; });
-        break;
-      }
-      case RequestType::kStats: {
-        // Counters seen so far are captured at read time; the service
-        // snapshot is taken at write time, after every earlier request
-        // has completed and been answered.
-        const std::int64_t lines_seen = report.lines;
-        const std::int64_t malformed_seen = report.malformed;
-        queue.push([&service, id, lines_seen, malformed_seen] {
-          return dump_response(make_stats_response(
-              id, service.stats(), lines_seen, malformed_seen));
-        });
-        break;
-      }
-      case RequestType::kShutdown: {
-        report.shutdown_requested = true;
-        std::string text = dump_response(make_ack_response(id, "shutdown"));
-        queue.push([text] { return text; });
-        break;
-      }
-      case RequestType::kSubscribe:
-      case RequestType::kArrive:
-      case RequestType::kFinalize: {
-        std::string text = session.handle(request);
-        queue.push([text] { return text; });
-        break;
-      }
-      case RequestType::kSolve: {
-        SolveService::PendingPtr pending = service.submit(request);
-        const bool want_schedule = request.want_schedule;
-        queue.push([pending, id, want_schedule] {
-          const SolveOutcome& outcome = pending->wait();
-          if (outcome.rejected) {
-            return dump_response(make_reject_response(id, outcome.error));
-          }
-          return dump_response(make_result_response(id, outcome, want_schedule));
-        });
-        break;
-      }
+  });
+
+  // Block for the first byte only, then take whatever else the stream has
+  // buffered: a client that waits for each response before sending the
+  // next line must never leave the reader waiting for more.
+  std::streambuf& buffer = *in.rdbuf();
+  char chunk[65536];
+  while (buffer.sgetc() != std::char_traits<char>::eof()) {
+    const std::streamsize count = buffer.sgetn(
+        chunk, std::clamp<std::streamsize>(buffer.in_avail(), 1, sizeof chunk));
+    if (count <= 0 || !connection.feed(std::string_view(
+                          chunk, static_cast<std::size_t>(count)))) {
+      break;
     }
   }
-
-  // An abandoned pause (EOF without resume) must not leave solve thunks —
-  // and therefore the writer — blocked forever.
-  service.resume();
-  queue.close();
+  connection.finish();
   writer.join();
-  return report;
+  return {connection.lines(), connection.malformed(),
+          connection.shutdown_requested()};
 }
 
 int run_stdio_server(const AlgorithmRegistry& registry,
@@ -207,126 +259,6 @@ int run_stdio_server(const AlgorithmRegistry& registry,
   service.shutdown(/*drain=*/true);
   if (report != nullptr) *report = seen;
   return 0;
-}
-
-// -------------------------------------------------------------- TCP layer --
-
-namespace {
-
-class FdInBuf : public std::streambuf {
- public:
-  explicit FdInBuf(int fd) : fd_(fd) { setg(buffer_, buffer_, buffer_); }
-
- protected:
-  int_type underflow() override {
-    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
-    ssize_t count;
-    do {
-      count = ::read(fd_, buffer_, sizeof buffer_);
-    } while (count < 0 && errno == EINTR);
-    if (count <= 0) return traits_type::eof();
-    setg(buffer_, buffer_, buffer_ + count);
-    return traits_type::to_int_type(*gptr());
-  }
-
- private:
-  int fd_;
-  char buffer_[4096];
-};
-
-class FdOutBuf : public std::streambuf {
- public:
-  explicit FdOutBuf(int fd) : fd_(fd) {}
-
- protected:
-  int_type overflow(int_type ch) override {
-    if (traits_type::eq_int_type(ch, traits_type::eof())) return 0;
-    const char c = traits_type::to_char_type(ch);
-    return write_all(&c, 1) ? ch : traits_type::eof();
-  }
-
-  std::streamsize xsputn(const char* data, std::streamsize count) override {
-    return write_all(data, static_cast<std::size_t>(count)) ? count : 0;
-  }
-
- private:
-  bool write_all(const char* data, std::size_t count) {
-    while (count > 0) {
-      const ssize_t written = ::write(fd_, data, count);
-      if (written < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      data += written;
-      count -= static_cast<std::size_t>(written);
-    }
-    return true;
-  }
-
-  int fd_;
-};
-
-}  // namespace
-
-TcpServer::~TcpServer() { stop(); }
-
-int TcpServer::start(int port, int backlog) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw std::runtime_error("socket() failed");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  address.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (backlog <= 0) backlog = SOMAXCONN;
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&address),
-             sizeof address) != 0 ||
-      ::listen(fd, backlog) != 0) {
-    ::close(fd);
-    throw std::runtime_error("cannot listen on 127.0.0.1:" +
-                             std::to_string(port));
-  }
-  socklen_t length = sizeof address;
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&address), &length);
-  port_ = ntohs(address.sin_port);
-  listen_fd_ = fd;
-  return port_;
-}
-
-void TcpServer::serve() {
-  std::vector<std::thread> connections;
-  for (;;) {
-    const int fd = listen_fd_.load(std::memory_order_acquire);
-    if (fd < 0) break;
-    int client;
-    do {
-      client = ::accept(fd, nullptr, nullptr);
-    } while (client < 0 && errno == EINTR);
-    if (client < 0) break;  // stop() shut the listening socket down
-    const int one = 1;
-    ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    connections.emplace_back([this, client] {
-      FdInBuf in_buffer(client);
-      FdOutBuf out_buffer(client);
-      std::istream in(&in_buffer);
-      std::ostream out(&out_buffer);
-      const ServeReport report = serve_connection(*service_, in, out);
-      ::shutdown(client, SHUT_RDWR);
-      ::close(client);
-      if (report.shutdown_requested) stop();
-    });
-  }
-  for (std::thread& connection : connections) connection.join();
-}
-
-void TcpServer::stop() {
-  // Atomic swap: exactly one caller observes the live fd and closes it.
-  const int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
 }
 
 }  // namespace calisched

@@ -2,19 +2,18 @@
 //
 // One OnlineSession wraps one OnlineSimulation: `subscribe` opens it,
 // each `arrive` advances it and yields one schedule-delta response, and
-// `finalize` closes it with a result-shaped summary. Both front ends —
-// the blocking stdio/TCP reader and the epoll event loop — drive the
-// session synchronously on the thread that parsed the request and emit
-// the returned line through their ordered writer, so a subscribe session
-// produces a byte-identical response stream on every front end and at
-// every worker-thread count (the simulation itself is deterministic and
-// single-threaded; the solve pool is never involved).
+// `finalize` closes it with a result-shaped summary. The per-connection
+// engine (ServeConnection, server.hpp) drives the session synchronously
+// on the thread that parsed the request and queues the returned line as a
+// ready response slot, so a subscribe session produces a byte-identical
+// response stream on both front ends and at every worker-thread count
+// (the simulation itself is deterministic and single-threaded; the solve
+// pool is never involved).
 //
 // Each connection owns at most one live session; a second `subscribe`
 // before `finalize` is an error, as is `arrive`/`finalize` without one.
-// Session state is connection-local by construction (the blocking server
-// keeps it on the reader's stack, the epoll server inside the Connection
-// record owned by one loop), so no synchronization is needed.
+// The session lives inside its connection's engine and only that
+// connection's reader touches it, so no synchronization is needed.
 #pragma once
 
 #include <memory>

@@ -83,8 +83,18 @@ class Parser {
   JsonValue parse_value() {
     skip_whitespace();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Each level is a recursive call: bound the depth, not the stack.
+        if (depth_ == JsonValue::kMaxParseDepth) {
+          fail("nesting deeper than " +
+               std::to_string(JsonValue::kMaxParseDepth) + " levels");
+        }
+        ++depth_;
+        JsonValue nested = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"': return JsonValue(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -222,6 +232,7 @@ class Parser {
   }
 
   std::string_view text_;
+  int depth_ = 0;  ///< open objects and arrays around the cursor
   std::size_t pos_ = 0;
 };
 

@@ -6,7 +6,8 @@
 // Scope is deliberately small: objects preserve insertion order (so traces
 // serialize deterministically), numbers distinguish integers from doubles
 // (counter values survive a round trip exactly), and the parser rejects
-// anything RFC 8259 rejects except it does not enforce a nesting limit.
+// anything RFC 8259 rejects, plus documents nested deeper than
+// kMaxParseDepth.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +68,14 @@ class JsonValue {
   void write(std::ostream& out, int indent = 0) const;
   [[nodiscard]] std::string dump(int indent = 0) const;
 
+  /// Deepest nesting of objects and arrays parse() accepts. Requests nest
+  /// 4 levels and trace exports a few per span level; the cap only stops
+  /// hostile input from exhausting the stack.
+  static constexpr int kMaxParseDepth = 256;
+
   /// Parses one JSON document (throws std::runtime_error with position info
-  /// on malformed input; trailing non-whitespace is an error).
+  /// on malformed input; trailing non-whitespace and nesting deeper than
+  /// kMaxParseDepth are errors).
   [[nodiscard]] static JsonValue parse(std::string_view text);
 
  private:

@@ -464,6 +464,20 @@ TEST(ServeEpoll, ManyRequestsInOneWrite) {
 }
 
 TEST(ServeEpoll, OversizedLineGetsErrorAndClose) {
+  // Both front ends: the ping is answered, the over-long line gets one
+  // error, and nothing after it is read.
+  const auto expect_ping_then_error = [](const std::string& output) {
+    std::istringstream stream(output);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(stream, line);) lines.push_back(line);
+    ASSERT_EQ(lines.size(), 2u) << output.substr(0, 512);
+    EXPECT_NE(lines[0].find("\"op\":\"ping\""), std::string::npos);
+    EXPECT_NE(lines[1].find("\"type\":\"error\""), std::string::npos);
+    EXPECT_NE(lines[1].find("exceeds"), std::string::npos);
+  };
+  const std::string ping = "{\"id\":1,\"type\":\"ping\"}\n";
+  const std::string later = "{\"id\":3,\"type\":\"ping\"}\n";
+
   ServiceOptions options;
   options.threads = 1;
   SolveService service(AlgorithmRegistry::builtin(), options);
@@ -474,21 +488,28 @@ TEST(ServeEpoll, OversizedLineGetsErrorAndClose) {
   {
     TcpClient client(port);
     ASSERT_TRUE(client.connected());
-    client.send("{\"id\":1,\"type\":\"ping\"}\n");
+    client.send(ping);
     client.send(std::string(1024, 'x'));  // no newline needed to trip it
-    const std::string output = client.read_all();  // server closes
-    std::istringstream stream(output);
-    std::vector<std::string> lines;
-    for (std::string line; std::getline(stream, line);) lines.push_back(line);
-    ASSERT_EQ(lines.size(), 2u) << output;
-    EXPECT_NE(lines[0].find("\"op\":\"ping\""), std::string::npos);
-    EXPECT_NE(lines[1].find("\"type\":\"error\""), std::string::npos);
-    EXPECT_NE(lines[1].find("exceeds"), std::string::npos);
+    expect_ping_then_error(client.read_all());  // server closes
   }
   server.stop();
   server.serve();
   EXPECT_EQ(server.totals().overflows, 1);
   service.shutdown(/*drain=*/true);
+
+  // stdio has the fixed default bound; a terminated line one byte over it
+  // is rejected and the ping behind it is never answered.
+  ServeReport report;
+  std::istringstream in(ping + std::string(kMaxRequestLineBytes + 1, 'x') +
+                        "\n" + later);
+  std::ostringstream out;
+  ServiceOptions stdio_options;
+  stdio_options.threads = 1;
+  EXPECT_EQ(run_stdio_server(AlgorithmRegistry::builtin(), stdio_options, in,
+                             out, &report),
+            0);
+  expect_ping_then_error(out.str());
+  EXPECT_EQ(report.lines, 1);
 }
 
 TEST(ServeEpoll, StatsReportsTailPercentilesAndCacheHits) {

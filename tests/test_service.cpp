@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "gen/generators.hpp"
+#include "service/epoll_server.hpp"
 #include "service/instance_hash.hpp"
 #include "service/loadgen.hpp"
 #include "service/lru_cache.hpp"
@@ -446,6 +447,37 @@ TEST(ServiceProtocol, ParseRecoversIdFromBadRequests) {
   EXPECT_EQ(parsed.id.as_string(), "r7");
 }
 
+TEST(ServiceProtocol, JobIdsOutsideInt32AreRejected) {
+  // Regression: ids were narrowed to the 32-bit JobId unchecked, so 2^62
+  // and -2^40 both became job 0 (answered "ok", verified) and 2*10^11
+  // wrapped to a negative id.
+  for (const std::string id :
+       {"4611686018427387904", "200000000000", "-1099511627776"}) {
+    const ParsedRequest solve = parse_request(
+        "{\"type\":\"solve\",\"instance\":{\"machines\":1,\"T\":4,"
+        "\"jobs\":[[" + id + ",0,4,2]]}}");
+    EXPECT_FALSE(solve.ok) << id;
+    EXPECT_NE(solve.error.find("'jobs'"), std::string::npos) << solve.error;
+    EXPECT_NE(solve.error.find("job id " + id), std::string::npos)
+        << solve.error;
+    const ParsedRequest arrive = parse_request(
+        "{\"type\":\"arrive\",\"time\":0,\"jobs\":[[" + id + ",0,4,2]]}");
+    EXPECT_FALSE(arrive.ok) << id;
+    EXPECT_NE(arrive.error.find("job id " + id), std::string::npos)
+        << arrive.error;
+  }
+}
+
+TEST(ServiceProtocol, DeeplyNestedRequestIsAnError) {
+  // Regression: 200,000 nested '[' overflowed the recursive JSON parser's
+  // stack and killed the process.
+  const ParsedRequest parsed = parse_request(
+      "{\"id\":1,\"type\":\"solve\",\"algo\":\"combined\",\"instance\":" +
+      std::string(200000, '['));
+  EXPECT_FALSE(parsed.ok);
+  EXPECT_NE(parsed.error.find("nesting"), std::string::npos) << parsed.error;
+}
+
 TEST(ServiceProtocol, InstanceJsonRoundTripsThroughParse) {
   const Instance instance = generate_mixed(small_params(21), 0.5);
   JsonValue::Object request;
@@ -606,6 +638,22 @@ TEST(ServeStdio, StatsReportsCacheHitsForDuplicates) {
   EXPECT_NE(output.find("\"op\":\"shutdown\""), std::string::npos);
 }
 
+TEST(ServeStdio, DeeplyNestedLineGetsErrorAndNextLineIsAnswered) {
+  ServeReport report;
+  const std::string output = serve_script(
+      "{\"id\":1,\"type\":\"solve\",\"algo\":\"combined\",\"instance\":" +
+          std::string(200000, '[') + "\n{\"type\":\"ping\",\"id\":2}\n",
+      1, &report);
+  EXPECT_EQ(report.lines, 2);
+  EXPECT_EQ(report.malformed, 1);
+  std::vector<std::string> lines;
+  std::istringstream stream(output);
+  for (std::string line; std::getline(stream, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u) << output;
+  EXPECT_NE(lines[0].find("\"type\":\"error\""), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find("\"op\":\"ping\""), std::string::npos) << lines[1];
+}
+
 TEST(ServeStdio, ScheduleAttachedOnRequest) {
   const Instance instance = generate_mixed(small_params(34), 0.5);
   JsonValue::Object request;
@@ -680,8 +728,8 @@ TEST(ServeTcp, SolvesOverLoopbackAndShutsDownCleanly) {
   // deterministic (two workers could run both before either is cached).
   options.threads = 1;
   SolveService service(AlgorithmRegistry::builtin(), options);
-  TcpServer server(service);
-  const int port = server.start(0);  // ephemeral
+  EpollServer server(service);
+  const int port = server.start();  // ephemeral
   ASSERT_GT(port, 0);
   std::thread serving([&server] { server.serve(); });
 
@@ -705,7 +753,7 @@ TEST(ServeTcp, SolvesOverLoopbackAndShutsDownCleanly) {
     EXPECT_NE(lines[3].find("\"op\":\"shutdown\""), std::string::npos);
   }
 
-  serving.join();  // the shutdown request stopped the accept loop
+  serving.join();  // the shutdown request stopped the event loops
   service.shutdown(/*drain=*/true);
   EXPECT_EQ(service.stats().cache_hits, 1);
 }

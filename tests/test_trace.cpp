@@ -219,6 +219,23 @@ TEST(Json, ParserRejectsMalformedInput) {
   EXPECT_THROW(JsonValue::parse("\"unterminated"), std::runtime_error);
 }
 
+TEST(Json, NestingIsCappedAtMaxParseDepth) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW((void)JsonValue::parse(nested(JsonValue::kMaxParseDepth)));
+  EXPECT_THROW((void)JsonValue::parse(nested(JsonValue::kMaxParseDepth + 1)),
+               std::runtime_error);
+  // Objects count too, and a hostile depth fails fast instead of
+  // overflowing the stack.
+  EXPECT_THROW((void)JsonValue::parse(std::string(200000, '[')),
+               std::runtime_error);
+  std::string objects;
+  for (int i = 0; i <= JsonValue::kMaxParseDepth; ++i) objects += "{\"a\":";
+  EXPECT_THROW((void)JsonValue::parse(objects), std::runtime_error);
+}
+
 Instance mixed_instance(std::uint64_t seed) {
   GenParams params;
   params.seed = seed;

@@ -17,7 +17,7 @@
 //             [--family=F --count=N --seed=N --n=N --T=N --machines=N ...]
 //   calisched serve (--stdio | --port=P) [--threads=N] [--queue-capacity=N]
 //             [--cache-capacity=N] [--cache-shards=N]
-//             [--server=epoll|threads] [--io-threads=N] [--backlog=N]
+//             [--io-threads=N] [--backlog=N]
 //   calisched replay <instance-file> [--algo=online-edf] [--schedule]
 //
 // replay feeds the instance through the online-arrival simulator (each job
@@ -33,16 +33,17 @@
 // delimited JSON requests in, one response line per request, in request
 // order. --stdio speaks over stdin/stdout (the response stream is byte-
 // identical for any --threads value); --port=P listens on 127.0.0.1:P
-// (0 picks a free port, printed to stderr). The TCP front end is the
-// nonblocking epoll event loop by default (--io-threads event-loop
-// threads, --backlog listen() backlog, <= 0 meaning SOMAXCONN);
-// --server=threads selects the legacy thread-per-connection accept loop.
-// Both produce byte-identical response streams. The service runs every
-// request through the algorithm registry behind a bounded queue
-// (--queue-capacity, full queue => "reject" response, never unbounded
-// growth) and a sharded LRU result cache (--cache-capacity total entries
-// over --cache-shards independently locked shards) keyed by a canonical
-// instance hash, so permuted copies of one instance hit the same entry.
+// (0 picks a free port, printed to stderr) with the nonblocking epoll
+// event loop (--io-threads event-loop threads, --backlog listen()
+// backlog, <= 0 meaning SOMAXCONN). Both front ends drive one connection
+// engine and produce byte-identical response streams; a request line
+// over 1 MiB gets one "error" response and ends the conversation. The
+// service runs every request through the algorithm registry behind a
+// bounded queue (--queue-capacity, full queue => "reject" response, never
+// unbounded growth) and a sharded LRU result cache (--cache-capacity
+// total entries over --cache-shards independently locked shards) keyed by
+// a canonical instance hash, so permuted copies of one instance hit the
+// same entry.
 // Request deadlines (timeout_ms) map onto RunLimits; a "stats" request
 // reports requests/rejects/cache hits/latency percentiles (p50 to p999);
 // "shutdown" drains in-flight solves and exits cleanly. See DESIGN.md
@@ -281,6 +282,9 @@ int solve_batch_mode(const CliArgs& args) {
 }
 
 int serve_mode(const CliArgs& args) {
+  // Before any I/O: unsynced std::cin is buffered, so the --stdio reader
+  // takes whatever a pipe delivered in one read, not one byte per call.
+  std::ios::sync_with_stdio(false);
   ServiceOptions options;
   options.threads = static_cast<std::size_t>(args.get_int("threads", 1));
   options.queue_capacity =
@@ -292,15 +296,10 @@ int serve_mode(const CliArgs& args) {
   const bool stdio = args.get_bool("stdio", false);
   const std::int64_t port = args.get_int("port", -1);
   const std::int64_t backlog = args.get_int("backlog", 0);
-  const std::string backend = args.get("server", "epoll");
   const std::size_t io_threads =
       static_cast<std::size_t>(args.get_int("io-threads", 1));
   if (!stdio && port < 0) {
     std::cerr << "serve needs --stdio or --port=P\n";
-    return 2;
-  }
-  if (backend != "epoll" && backend != "threads") {
-    std::cerr << "unknown server '" << backend << "' (epoll|threads)\n";
     return 2;
   }
   for (const std::string& flag : args.unused()) {
@@ -320,38 +319,23 @@ int serve_mode(const CliArgs& args) {
   }
 
   SolveService service(AlgorithmRegistry::builtin(), options);
-  if (backend == "epoll") {
-    EpollServerOptions server_options;
-    server_options.port = static_cast<int>(port);
-    server_options.backlog = static_cast<int>(backlog);
-    server_options.io_threads = io_threads;
-    EpollServer server(service, server_options);
-    try {
-      server.start();
-    } catch (const std::exception& error) {
-      std::cerr << error.what() << '\n';
-      return 2;
-    }
-    std::cerr << "serve: listening on 127.0.0.1:" << server.port()
-              << " (epoll, " << io_threads << " io thread(s), "
-              << options.threads << " worker thread(s), queue "
-              << options.queue_capacity << ", cache " << options.cache_capacity
-              << "x" << options.cache_shards << " shard(s))\n";
-    server.serve();
-  } else {
-    TcpServer server(service);
-    try {
-      server.start(static_cast<int>(port), static_cast<int>(backlog));
-    } catch (const std::exception& error) {
-      std::cerr << error.what() << '\n';
-      return 2;
-    }
-    std::cerr << "serve: listening on 127.0.0.1:" << server.port()
-              << " (thread-per-connection, " << options.threads
-              << " worker thread(s), queue " << options.queue_capacity
-              << ", cache " << options.cache_capacity << ")\n";
-    server.serve();
+  EpollServerOptions server_options;
+  server_options.port = static_cast<int>(port);
+  server_options.backlog = static_cast<int>(backlog);
+  server_options.io_threads = io_threads;
+  EpollServer server(service, server_options);
+  try {
+    server.start();
+  } catch (const std::exception& error) {
+    std::cerr << error.what() << '\n';
+    return 2;
   }
+  std::cerr << "serve: listening on 127.0.0.1:" << server.port() << " (epoll, "
+            << io_threads << " io thread(s), " << options.threads
+            << " worker thread(s), queue " << options.queue_capacity
+            << ", cache " << options.cache_capacity << "x"
+            << options.cache_shards << " shard(s))\n";
+  server.serve();
   service.shutdown(/*drain=*/true);
   const ServiceStats stats = service.stats();
   std::cerr << "serve: " << stats.received << " request(s), "

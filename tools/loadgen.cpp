@@ -11,11 +11,11 @@
 //   loadgen --port=P [--connections=N] [--requests=N] [--rate=R]
 //           [--pacing=fixed|poisson] [--seed=S] [--timeout-ms=N]
 //           [--preset=ping|solve | --body=FRAGMENT] [--json]
-//   loadgen --self-serve [--server=epoll|threads] [--threads=N]
-//           [--io-threads=N] [--queue-capacity=N] [--cache-capacity=N]
-//           [--cache-shards=N] [...load flags as above]
+//   loadgen --self-serve [--threads=N] [--io-threads=N]
+//           [--queue-capacity=N] [--cache-capacity=N] [--cache-shards=N]
+//           [...load flags as above]
 //
-// --self-serve starts the service plus the chosen TCP front end in this
+// --self-serve starts the service plus the epoll front end in this
 // process on an ephemeral port and runs the load against it — one
 // hermetic command with no port scraping, which is how the CI smoke uses
 // it. --preset=solve sends one small generated instance on every request
@@ -26,14 +26,12 @@
 #include <iostream>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "gen/generators.hpp"
 #include "runtime/registry.hpp"
 #include "service/epoll_server.hpp"
 #include "service/loadgen.hpp"
 #include "service/protocol.hpp"
-#include "service/server.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -115,9 +113,10 @@ int run(const CliArgs& args) {
     return 2;
   }
 
-  LoadGenReport report;
+  // Every flag is read before the unused-flag check runs.
+  ServiceOptions service_options;
+  EpollServerOptions server_options;
   if (self_serve) {
-    ServiceOptions service_options;
     service_options.threads =
         static_cast<std::size_t>(args.get_int("threads", 1));
     service_options.queue_capacity =
@@ -126,36 +125,23 @@ int run(const CliArgs& args) {
         static_cast<std::size_t>(args.get_int("cache-capacity", 128));
     service_options.cache_shards =
         static_cast<std::size_t>(args.get_int("cache-shards", 8));
-    const std::string backend = args.get("server", "epoll");
-    for (const std::string& flag : args.unused()) {
-      std::cerr << "warning: unused flag --" << flag << '\n';
-    }
+    server_options.io_threads =
+        static_cast<std::size_t>(args.get_int("io-threads", 1));
+  }
+  for (const std::string& flag : args.unused()) {
+    std::cerr << "warning: unused flag --" << flag << '\n';
+  }
+
+  LoadGenReport report;
+  if (self_serve) {
     SolveService service(AlgorithmRegistry::builtin(), service_options);
-    if (backend == "epoll") {
-      EpollServerOptions server_options;
-      server_options.io_threads =
-          static_cast<std::size_t>(args.get_int("io-threads", 1));
-      EpollServer server(service, server_options);
-      load.port = server.start();
-      report = run_loadgen(load);
-      server.stop();
-      server.serve();
-    } else if (backend == "threads") {
-      TcpServer server(service);
-      load.port = server.start(0);
-      std::thread serving([&server] { server.serve(); });
-      report = run_loadgen(load);
-      server.stop();
-      serving.join();
-    } else {
-      std::cerr << "unknown server '" << backend << "' (epoll|threads)\n";
-      return 2;
-    }
+    EpollServer server(service, server_options);
+    load.port = server.start();
+    report = run_loadgen(load);
+    server.stop();
+    server.serve();
     service.shutdown(/*drain=*/true);
   } else {
-    for (const std::string& flag : args.unused()) {
-      std::cerr << "warning: unused flag --" << flag << '\n';
-    }
     report = run_loadgen(load);
   }
 

@@ -16,14 +16,21 @@ and asserts the observable contracts:
     {"type":"reject",...} mentioning the full queue;
   * "shutdown" acknowledged, process exits 0;
   * the response stream (stats-free script) is byte-identical for
-    --threads=1/4/8.
+    --threads=1/4/8;
+  * a lockstep client over a pipe — each request written only after the
+    previous response arrived, with pause, a solve and resume in separate
+    writes — gets every response: the server keeps reading while its
+    writer waits on the paused solve.
 
 Exit code: 0 when every assertion holds, 1 otherwise.
 """
 
 import json
+import os
+import select
 import subprocess
 import sys
+import time
 
 # A small fixed instance and a job-permuted copy of it. The canonical
 # instance hash must map both onto the same cache entry.
@@ -57,6 +64,46 @@ def run_serve(binary, script, extra_flags=()):
 
 def line(obj):
     return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+class Lockstep:
+    """One serve --stdio process driven a request at a time over pipes."""
+
+    def __init__(self, binary, extra_flags=()):
+        self.proc = subprocess.Popen(
+            [binary, "serve", "--stdio", *extra_flags],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL)
+        self.pending = b""
+
+    def send(self, obj):
+        self.proc.stdin.write(line(obj).encode())
+        self.proc.stdin.flush()
+
+    def recv(self, timeout=60.0):
+        """The next response, or None if none arrives within `timeout`."""
+        deadline = time.monotonic() + timeout
+        while b"\n" not in self.pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            ready, _, _ = select.select([self.proc.stdout], [], [], remaining)
+            if not ready:
+                return None
+            chunk = os.read(self.proc.stdout.fileno(), 65536)
+            if not chunk:
+                return None
+            self.pending += chunk
+        text, _, self.pending = self.pending.partition(b"\n")
+        return json.loads(text)
+
+    def close(self):
+        self.proc.stdin.close()
+        try:
+            return self.proc.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            return self.proc.wait()
 
 
 def main(argv):
@@ -156,6 +203,41 @@ def main(argv):
         outputs[threads] = stdout
     check("responses byte-identical at 1/4/8 threads",
           outputs[1] == outputs[4] == outputs[8] and outputs[1] != "")
+
+    # --- run C: lockstep client over a pipe --------------------------------
+    # Every request is its own write, sent only after the previous response
+    # was read — except while the service is paused: the solve's response
+    # cannot come before resume, so resume follows it unanswered.
+    client = Lockstep(binary, ("--threads=1",))
+    client.send({"type": "ping", "id": "p"})
+    check("lockstep: ping answered before the next write",
+          (client.recv() or {}).get("op") == "ping")
+    client.send({"type": "solve", "id": 1, "instance": INSTANCE})
+    first = client.recv() or {}
+    check("lockstep: solve answered before the next write",
+          first.get("id") == 1 and first.get("verified") is True, str(first))
+    client.send({"type": "pause", "id": "hold"})
+    check("lockstep: pause acked",
+          (client.recv() or {}).get("op") == "pause")
+    client.send({"type": "solve", "id": 2, "instance": OTHER})
+    check("lockstep: paused solve not answered early",
+          client.recv(timeout=0.3) is None)
+    client.send({"type": "resume", "id": "go"})
+    held = client.recv() or {}
+    check("lockstep: paused solve answered after resume",
+          held.get("id") == 2 and held.get("verified") is True, str(held))
+    check("lockstep: resume acked after the solve it released",
+          (client.recv() or {}).get("op") == "resume")
+    client.send({"type": "stats", "id": "s"})
+    stats = (client.recv() or {}).get("stats", {})
+    check("lockstep: stats counts every line read",
+          stats.get("lines") == 6 and stats.get("completed") == 2,
+          str(stats))
+    client.send({"type": "shutdown", "id": "bye"})
+    check("lockstep: shutdown acked",
+          (client.recv() or {}).get("op") == "shutdown")
+    rc = client.close()
+    check("lockstep serve exits 0", rc == 0, f"rc={rc}")
 
     print(f"serve_smoke: {'FAILED' if FAILED else 'passed'} "
           f"({FAILED} failing assertion(s))")

@@ -1,8 +1,9 @@
 // Experiment E18 — exact-engine comparison: layered state-space search vs
 // branch-and-bound on structured wave families.
 //
-// Two size ladders, each solved by both engines under the SAME node/state
-// budget until an engine first fails to certify:
+// Two size ladders, each solved by the shipped state-space engine and by
+// the branch-and-bound oracles (tests/support/oracles.hpp) under the SAME
+// node/state budget until an engine first fails to certify:
 //
 //   * mm-waves  — k waves of six identical jobs {12w, 12w+6, 4}: one job
 //     per machine per wave (m* = 6) while the load lower bound is 4, so
@@ -22,13 +23,16 @@
 // engine's certified frontier is >= 5x branch-and-bound's on both ladders.
 #include <chrono>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/exact_ise.hpp"
 #include "core/instance.hpp"
 #include "exact/search_stats.hpp"
 #include "harness.hpp"
+#include "mm/lower_bounds.hpp"
 #include "mm/mm.hpp"
+#include "oracles.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -49,6 +53,26 @@ Instance wave_instance(int k, int c, Time gap, Time window, Time proc,
     }
   }
   return instance;
+}
+
+/// ExactMM::minimize's search over increasing machine counts, on the
+/// branch-and-bound oracle. A budget stop leaves the result infeasible
+/// (ExactMM would fall back to greedy, which is not a certificate either).
+MMResult bnb_minimize(const Instance& instance) {
+  MMResult result;
+  result.algorithm = "exact-bnb";
+  for (int m = mm_lower_bound(instance);
+       m <= static_cast<int>(instance.size()); ++m) {
+    MMFeasibility search = bnb_mm_feasibility(instance, m, kBudget);
+    result.search_nodes += search.nodes;
+    if (search.status != SolveStatus::kOk) return result;
+    if (search.feasible) {
+      result.feasible = true;
+      result.schedule = std::move(search.schedule);
+      return result;
+    }
+  }
+  return result;
 }
 
 double elapsed_ms(std::chrono::steady_clock::time_point since) {
@@ -74,25 +98,25 @@ int main(int argc, char** argv) {
   int mm_max_state = 0;
   int mm_max_bnb = 0;
   ExactSearchCounters mm_counters;
-  for (const ExactEngine engine :
-       {ExactEngine::kStateSpace, ExactEngine::kBranchBound}) {
-    const bool is_state = engine == ExactEngine::kStateSpace;
+  for (const bool is_state : {true, false}) {
+    const ExactMM mm(kBudget);
+    const std::string name = is_state ? mm.name() : "exact-bnb";
     for (const int k : {1, 2, 4, 8, 16}) {
       const Instance instance = wave_instance(k, 6, 12, 6, 4, 1'000'000, 1);
       const int n = 6 * k;
-      const ExactMM mm(kBudget, engine);
       exact_search_reset();
       const auto start = std::chrono::steady_clock::now();
-      const MMResult result = mm.minimize(instance);
+      const MMResult result =
+          is_state ? mm.minimize(instance) : bnb_minimize(instance);
       const double ms = elapsed_ms(start);
-      const bool certified = result.feasible && result.algorithm == mm.name();
+      const bool certified = result.feasible && result.algorithm == name;
       if (is_state) {
         const ExactSearchCounters delta = exact_search_snapshot();
         mm_counters = mm_counters + delta;
       }
       mm_table.row()
           .cell(static_cast<std::int64_t>(n))
-          .cell(mm.name())
+          .cell(name)
           .cell(certified ? "yes" : "no")
           .cell(static_cast<std::int64_t>(certified ? result.schedule.machines
                                                     : -1))
@@ -115,20 +139,19 @@ int main(int argc, char** argv) {
   int ise_max_bnb = 0;
   std::vector<std::int64_t> state_optima;  // indexed by ladder step
   ExactSearchCounters ise_counters;
-  for (const ExactEngine engine :
-       {ExactEngine::kStateSpace, ExactEngine::kBranchBound}) {
-    const bool is_state = engine == ExactEngine::kStateSpace;
+  for (const bool is_state : {true, false}) {
     std::size_t step = 0;
     for (const int k : {5, 10, 25, 50}) {
       const Instance instance = wave_instance(k, 4, 10, 8, 2, 6, 1);
       const int n = 4 * k;
       ExactIseOptions options;
-      options.engine = engine;
       options.node_budget = kBudget;
       options.max_calibrations = 999;
       exact_search_reset();
       const auto start = std::chrono::steady_clock::now();
-      const ExactIseResult result = solve_exact_ise(instance, options);
+      const ExactIseResult result = is_state
+                                        ? solve_exact_ise(instance, options)
+                                        : solve_exact_ise_bnb(instance, options);
       const double ms = elapsed_ms(start);
       const bool certified = result.solved && result.feasible;
       if (is_state) {

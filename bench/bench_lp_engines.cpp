@@ -1,9 +1,10 @@
 // Experiment E12 — the TISE LP: dense tableau vs revised simplex, and the
 // dominant-point LP vs the paper's full LP.
 //
-// Part 1 solves the same TISE relaxations with both engines and records
-// wall time, pivot counts, and refactorizations across instance sizes. The
-// acceptance bar for the sparse engine is >= 3x over the dense tableau on
+// Part 1 solves the same TISE relaxations with solve_lp (the revised
+// engine) and the serial dense tableau oracle (tests/support/oracles.hpp)
+// and records wall time, pivot counts, and refactorizations across
+// instance sizes. The acceptance bar for the sparse engine is >= 3x over the dense tableau on
 // the largest LP in the sweep with identical optimal objectives; measured
 // speedups should be far larger, since a dense pivot costs O(rows x cols)
 // while a revised pivot touches only stored nonzeros plus the eta file.
@@ -27,6 +28,7 @@
 #include "harness.hpp"
 #include "longwin/tise_lp.hpp"
 #include "lp/perf_counters.hpp"
+#include "oracles.hpp"
 #include "trace/trace.hpp"
 
 namespace {
@@ -76,10 +78,7 @@ int main(int argc, char** argv) {
     const Instance instance = generate_long_window(params);
     const TiseLpModel built = build_tise_lp(instance, 3 * instance.machines);
 
-    SimplexOptions dense_options;
-    dense_options.engine = LpEngine::kDenseTableau;
     SimplexOptions revised_options;
-    revised_options.engine = LpEngine::kRevised;
     TraceContext& revised_trace =
         bench.trace().child("revised_n" + std::to_string(n));
     revised_options.trace = &revised_trace;
@@ -88,13 +87,12 @@ int main(int argc, char** argv) {
     LpSolution revised;
     // One timing-free solve each to size the repetition count.
     const double dense_once = time_ms(
-        [&] { dense = solve_lp(built.model, dense_options); }, 1);
+        [&] { dense = solve_lp_dense(built.model); }, 1);
     const int dense_reps = dense_once > 500.0 ? 1 : 3;
     const double dense_ms = std::min(
         dense_once,
-        time_ms([&] { dense = solve_lp(built.model, dense_options); },
-                dense_reps));
-    // The counter delta spans all revised reps (the dense engine does not
+        time_ms([&] { dense = solve_lp_dense(built.model); }, dense_reps));
+    // The counter delta spans all revised reps (the dense oracle does not
     // touch the LP perf counters), so rates divide by total wall, not best.
     const LpPerfCounters rev_before = lp_perf_snapshot();
     const auto rev_start = std::chrono::steady_clock::now();

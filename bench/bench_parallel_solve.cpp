@@ -11,7 +11,8 @@
 // Part B measures the WarmStart + SimplexWorkspace payoff on the
 // m'-descending rhs sweep pattern (one LP shape, capacity tightening step
 // by step) and on straight re-solves: total simplex pivots cold vs
-// warm-chained, with the dense tableau's objective as the per-step oracle.
+// warm-chained, with the dense tableau oracle's objective (tests/support)
+// as the per-step reference.
 #include <chrono>
 #include <cmath>
 #include <sstream>
@@ -25,6 +26,7 @@
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "mm/lp_rounding_mm.hpp"
+#include "oracles.hpp"
 #include "shortwin/short_pipeline.hpp"
 #include "verify/verify.hpp"
 
@@ -159,19 +161,14 @@ int main(int argc, char** argv) {
   bool oracle_ok = true;
   for (int capacity = 30; capacity >= 8; --capacity) {
     const LpModel model = sweep_model(capacity);
-    SimplexOptions cold_options;
-    cold_options.engine = LpEngine::kRevised;
-    const LpSolution cold = solve_lp(model, cold_options);
+    const LpSolution cold = solve_lp(model);
 
     SimplexOptions warm_options;
-    warm_options.engine = LpEngine::kRevised;
     warm_options.warm_start = &warm;
     warm_options.workspace = &workspace;
     const LpSolution chained = solve_lp(model, warm_options);
 
-    SimplexOptions dense_options;
-    dense_options.engine = LpEngine::kDenseTableau;
-    const LpSolution oracle = solve_lp(model, dense_options);
+    const LpSolution oracle = solve_lp_dense(model);
 
     const bool agrees = cold.status == LpStatus::kOptimal &&
                         chained.status == LpStatus::kOptimal &&
@@ -203,7 +200,6 @@ int main(int argc, char** argv) {
   bool resolved_warm = true;
   for (int repeat = 0; repeat < 5; ++repeat) {
     SimplexOptions options;
-    options.engine = LpEngine::kRevised;
     options.warm_start = &resolve_warm;
     options.workspace = &resolve_workspace;
     const LpSolution solution = solve_lp(fixed, options);

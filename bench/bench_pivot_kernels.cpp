@@ -11,6 +11,8 @@
 //    the sanitizer jobs lean on: after one warmup solve, a reused
 //    workspace must report zero buffer growths — the arena has reached
 //    the family's working size and the pivot loop allocates nothing.
+//    Both phases' objectives are checked against the dense tableau oracle
+//    (tests/support/oracles.hpp).
 //  * Kernel layer — synthetic CscMatrix / EtaFile instances exercising
 //    gather-dot pricing, FTRAN, and BTRAN in fixed-repetition loops, so
 //    the streamed-entry totals are machine-independent (gated) while the
@@ -28,6 +30,7 @@
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
 #include "lp/sparse.hpp"
+#include "oracles.hpp"
 
 namespace {
 
@@ -78,12 +81,9 @@ int main(int argc, char** argv) {
   const Instance instance = generate_long_window(params);
   const TiseLpModel built = build_tise_lp(instance, 3 * instance.machines);
 
-  SimplexOptions dense_options;
-  dense_options.engine = LpEngine::kDenseTableau;
-  const LpSolution oracle = solve_lp(built.model, dense_options);
+  const LpSolution oracle = solve_lp_dense(built.model);
 
   SimplexOptions revised_options;
-  revised_options.engine = LpEngine::kRevised;
 
   constexpr int kSolveReps = 5;
   double cold_objective = 0.0;

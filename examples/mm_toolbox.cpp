@@ -5,7 +5,7 @@
 // example runs all of them on one workload so their trade-offs are visible:
 //   greedy-edf    polynomial, no guarantee, usually near-exact
 //   lp-rounding   start-time LP + randomized rounding (Raghavan-Thompson)
-//   exact-bnb     exponential reference
+//   exact-state   exponential reference (layered state-space search)
 //   speed2x(...)  Theorem 1's s-speed augmentation
 // and closes the loop with mm_via_ise: solving MM *through* the ISE solver
 // (T = span), the direction the paper uses for hardness.

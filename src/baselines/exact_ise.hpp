@@ -8,25 +8,15 @@
 // release time, a same-machine predecessor's completion, or its
 // calibration boundary) reaches a fixpoint whose event times are all sums
 // of instance data, hence integers. It therefore suffices to search
-// integer calibration start times.
-//
-// Two engines share that argument:
-//   * kStateSpace (default) — the layered state-space exploration of
-//     src/exact/state_space.hpp, which merges partial schedules with equal
-//     summaries and prunes dominated ones; this is what pushes certified
-//     optima well past the branch-and-bound sizes.
-//   * kBranchBound — the original search, kept as a differential oracle:
-//     for each candidate calibration count K (from the combinatorial lower
-//     bound upward) enumerate nondecreasing K-tuples of start times whose
-//     maximum overlap fits the machine count, color them greedily onto
-//     machines, and pack jobs by depth-first search with an exact
-//     single-machine feasibility check per calibration.
+// integer calibration start times, which the layered state-space
+// exploration of src/exact/state_space.hpp does: it merges partial
+// schedules with equal summaries and prunes dominated ones, which is what
+// pushes certified optima well past branch-and-bound sizes.
 #pragma once
 
 #include <cstdint>
 
 #include "core/schedule.hpp"
-#include "exact/engine.hpp"
 #include "runtime/limits.hpp"
 #include "runtime/status.hpp"
 
@@ -42,11 +32,9 @@ struct ExactIseOptions {
   /// Restrict job placement to calibrations nested in the job's window
   /// (exact *TISE* optimum instead of exact ISE optimum).
   bool require_tise = false;
-  /// Which exact engine to run (results agree; speed differs).
-  ExactEngine engine = ExactEngine::kStateSpace;
   /// Deadline + cancellation, polled inside the search loops.
   RunLimits limits;
-  /// Optional trace sink; the state-space engine emits a span per layer.
+  /// Optional trace sink; the search emits a span per layer.
   TraceContext* trace = nullptr;
 };
 

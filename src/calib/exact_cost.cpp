@@ -219,9 +219,8 @@ class CostSearch {
   /// stop reason — "not packable" would turn a budget artifact into a
   /// pruned (possibly optimal) branch.
   [[nodiscard]] bool calibration_packable(const SearchCalibration& c) {
-    const MMFeasibility packed =
-        exact_mm_feasibility(clip_to(c), 1, ExactEngine::kBranchBound,
-                             /*node_budget=*/100'000, options_.limits);
+    const MMFeasibility packed = exact_mm_feasibility(
+        clip_to(c), 1, /*node_budget=*/100'000, options_.limits);
     if (packed.status != SolveStatus::kOk) {
       budget_hit_ = true;
       sub_status_ = packed.status;
@@ -256,8 +255,8 @@ class CostSearch {
           c->where.start + type_of(c->where).span();
       schedule.calibrations.push_back({machine, c->where.start, c->where.type});
 
-      const MMFeasibility packed = exact_mm_feasibility(
-          clip_to(*c), 1, ExactEngine::kBranchBound, /*node_budget=*/100'000);
+      const MMFeasibility packed =
+          exact_mm_feasibility(clip_to(*c), 1, /*node_budget=*/100'000);
       assert(packed.feasible && "re-pack of a packable calibration");
       for (const ScheduledJob& sj : packed.schedule.jobs) {
         schedule.jobs.push_back({sj.job, machine, sj.start});

@@ -1,13 +1,16 @@
 // Exact minimum-cost calibration search under a calibration-type table
 // (Angel, Bampis, Chau, Zissimopoulos 2015).
 //
-// The oracle the cost-model experiments measure against. It generalizes
-// the exact-ise branch-and-bound: candidate calibrations are now
+// The oracle the cost-model experiments measure against, and the only
+// exact solver for this model on more than one machine. It generalizes the
+// calibration-count branch-and-bound the tests keep as an exact-ISE oracle
+// (tests/support/branch_bound.cpp): candidate calibrations are now
 // (start, type) pairs, exclusivity is checked on machine *occupancy*
 // (activation delay included), jobs fit only inside a type's availability
 // window, and the objective is the sum of type costs instead of the count.
+// Each calibration's job set is packed by exact_mm_feasibility.
 //
-// Completeness mirrors exact_ise.cpp: left-shifting any feasible schedule
+// Completeness mirrors exact_ise.hpp: left-shifting any feasible schedule
 // to its integer fixpoint keeps every calibration's type, so searching all
 // integer start times per type suffices. The search enumerates calibration
 // counts k upward; within each k it branch-and-bounds on cost (a partial

@@ -42,12 +42,4 @@ namespace calisched {
 [[nodiscard]] std::vector<int> dominant_point_indices(
     const Instance& instance, const std::vector<Time>& points);
 
-/// Per-type trimmed grids for the generalized model: entry k holds the
-/// canonical points t where some job admits a type-k calibration nested in
-/// its window (r_j <= t + delay_k and t + delay_k + length_k <= d_j).
-/// For a unit-model instance this has one entry, equal to
-/// tise_calibration_points(instance).
-[[nodiscard]] std::vector<std::vector<Time>> typed_tise_calibration_points(
-    const Instance& instance);
-
 }  // namespace calisched

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
 
 namespace calisched {
 
@@ -51,17 +52,24 @@ std::optional<std::string> Instance::validate() const {
              " disagrees with T " + std::to_string(T);
     }
   }
+  // Duplicate ids are found on a sorted copy, so no allocation grows with
+  // the largest id. Only when one exists is the first job (in job order)
+  // reusing an earlier id located, so errors still come out in job order.
+  std::vector<JobId> ids;
+  ids.reserve(jobs.size());
+  for (const Job& job : jobs) ids.push_back(job.id);
+  std::sort(ids.begin(), ids.end());
+  std::size_t first_repeat = jobs.size();
+  if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+    std::unordered_set<JobId> earlier;
+    first_repeat = 0;
+    while (earlier.insert(jobs[first_repeat].id).second) ++first_repeat;
+  }
   const Time max_len = max_calibration_length();
-  std::vector<bool> seen;
-  for (const Job& job : jobs) {
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Job& job = jobs[i];
     if (job.id < 0) return "job id must be non-negative";
-    if (static_cast<std::size_t>(job.id) >= seen.size()) {
-      seen.resize(static_cast<std::size_t>(job.id) + 1, false);
-    }
-    if (seen[static_cast<std::size_t>(job.id)]) {
-      return "duplicate job id " + std::to_string(job.id);
-    }
-    seen[static_cast<std::size_t>(job.id)] = true;
+    if (i == first_repeat) return "duplicate job id " + std::to_string(job.id);
     if (job.proc < 1) {
       return "job " + std::to_string(job.id) + ": processing time must be >= 1";
     }

@@ -11,11 +11,12 @@
 // *set*, which is what pushes certified optima from tens of jobs into the
 // hundreds.
 //
-// Completeness mirrors the branch-and-bound argument (exact_mm.cpp,
-// exact_ise.hpp): any feasible schedule can be left-shifted to integer
-// event times and replayed in nondecreasing start order, and in that order
-// every job lands either on a machine frontier (MM) or in its machine's
-// most recent calibration / a fresh calibration at an integer start (ISE).
+// Completeness rests on the left-shifting argument of exact_ise.hpp (the
+// DFS oracles in tests/support/branch_bound.cpp rely on it too): any
+// feasible schedule can be left-shifted to integer event times and
+// replayed in nondecreasing start order, and in that order every job lands
+// either on a machine frontier (MM) or in its machine's most recent
+// calibration / a fresh calibration at an integer start (ISE).
 // The explorer enumerates exactly those moves, so some optimal schedule
 // always survives as a path; dominance only discards states whose every
 // completion another retained state can match (schedule_state.cpp).

@@ -1,12 +1,12 @@
 // Sparse revised simplex with presolve and partial pricing.
 //
-// The dense tableau (simplex.cpp) re-eliminates the whole rows x cols
-// tableau on every pivot; for the TISE relaxation — whose constraint
-// matrix has a handful of nonzeros per column — almost all of that work
-// touches zeros. This engine keeps the constraint matrix in a CSC column
-// store and represents the basis inverse as an eta file (product form of
-// the inverse), so one pivot costs an FTRAN + BTRAN over stored nonzeros
-// instead of a dense elimination:
+// A dense tableau re-eliminates the whole rows x cols tableau on every
+// pivot; for the TISE relaxation — whose constraint matrix has a handful
+// of nonzeros per column — almost all of that work touches zeros. This
+// engine, which backs solve_lp (simplex.hpp), keeps the constraint matrix
+// in a CSC column store and represents the basis inverse as an eta file
+// (product form of the inverse), so one pivot costs an FTRAN + BTRAN over
+// stored nonzeros instead of a dense elimination:
 //
 //  * presolve     — drops empty and duplicate rows, fixes variables pinned
 //                   by singleton equality rows, eliminates empty columns,
@@ -16,15 +16,15 @@
 //                   scanned cyclically into a small candidate list that is
 //                   re-priced each iteration, instead of a full Dantzig
 //                   scan; Bland's least-index rule takes over after the
-//                   same stall detection the dense engine uses;
+//                   same stall detection the dense oracle uses;
 //  * basis        — eta-file FTRAN/BTRAN with periodic refactorization
 //                   (Gauss-Jordan over the basis columns, sparsest column
 //                   first, partial pivoting), which bounds the eta length
 //                   and resets accumulated roundoff.
 //
 // Semantics (statuses, tolerances, Bland fallback, iteration limits) match
-// the dense tableau, which stays available through SimplexOptions::engine
-// as the differential-testing oracle.
+// the dense tableau the tests use as the differential oracle
+// (solve_lp_dense, tests/support/oracles.hpp).
 #pragma once
 
 #include <memory>
@@ -104,10 +104,5 @@ struct PresolvedLp {
 /// summary.infeasible is set the model must not be solved.
 [[nodiscard]] PresolvedLp presolve_lp(const LpModel& model,
                                       const SimplexOptions& options);
-
-/// Solves min c'x via presolve + sparse revised simplex. Call through
-/// solve_lp (simplex.hpp), which dispatches on SimplexOptions::engine.
-[[nodiscard]] LpSolution solve_lp_revised(const LpModel& model,
-                                          const SimplexOptions& options);
 
 }  // namespace calisched

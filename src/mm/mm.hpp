@@ -10,15 +10,13 @@
 //   * GreedyEdfMM  — polynomial first-fit EDF list scheduling over
 //                    increasing machine counts (always succeeds by m = n);
 //   * ExactMM      — exact search over left-shifted schedules (layered
-//                    state-space engine by default, branch-and-bound as a
-//                    differential oracle; measures realized alpha);
+//                    state-space engine; measures realized alpha);
 //   * UnitEdfMM    — exact and polynomial for unit processing times.
 #pragma once
 
 #include <memory>
 #include <string>
 
-#include "exact/engine.hpp"
 #include "runtime/limits.hpp"
 #include "runtime/status.hpp"
 #include "verify/verify.hpp"
@@ -34,7 +32,7 @@ struct MMResult {
   SolveStatus status = SolveStatus::kOk;
   MMSchedule schedule;         ///< valid when feasible
   std::string algorithm;       ///< which box produced it
-  std::int64_t search_nodes = 0;  ///< branch-and-bound telemetry (0 for greedy)
+  std::int64_t search_nodes = 0;  ///< exact-search states (0 for greedy)
 };
 
 /// Abstract MM black box; implementations must return verifier-clean
@@ -91,27 +89,22 @@ class GreedyEdfMM final : public MachineMinimizer {
   [[nodiscard]] std::string name() const override { return "greedy-edf"; }
 };
 
-/// Exact MM over left-shifted schedules with a node/state budget.
-/// Two interchangeable engines: the layered state-space search (default;
-/// src/exact/state_space.hpp) and the original depth-first branch-and-bound,
-/// kept as a differential oracle. Exceeding the budget falls back to the
-/// greedy result (and the MMResult notes it via `algorithm`); the effective
-/// budget is `limits.node_budget` when set, else the constructor's.
+/// Exact MM over left-shifted schedules with a state budget, searched by
+/// the layered state-space engine (src/exact/state_space.hpp). Exceeding
+/// the budget falls back to the greedy result (and the MMResult notes it
+/// via `algorithm`); the effective budget is `limits.node_budget` when set,
+/// else the constructor's.
 class ExactMM final : public MachineMinimizer {
  public:
-  explicit ExactMM(std::int64_t node_budget = 4'000'000,
-                   ExactEngine engine = ExactEngine::kStateSpace)
-      : node_budget_(node_budget), engine_(engine) {}
+  explicit ExactMM(std::int64_t node_budget = 4'000'000)
+      : node_budget_(node_budget) {}
   using MachineMinimizer::minimize;
   [[nodiscard]] MMResult minimize(const Instance& instance,
                                   const RunLimits& limits) const override;
-  [[nodiscard]] std::string name() const override {
-    return engine_ == ExactEngine::kStateSpace ? "exact-state" : "exact-bnb";
-  }
+  [[nodiscard]] std::string name() const override { return "exact-state"; }
 
  private:
   std::int64_t node_budget_;
-  ExactEngine engine_;
 };
 
 /// Exact MM for unit processing times (p_j = 1 for all j): timestep-by-
@@ -159,11 +152,10 @@ struct MMFeasibility {
 };
 
 /// Nonpreemptive feasibility of `instance` on exactly `machines` machines,
-/// via the engine of choice (the same searches ExactMM uses). Budget
-/// exhaustion reports kLimitExceeded, never a feasibility verdict.
+/// via the state-space search ExactMM uses. Budget exhaustion reports
+/// kLimitExceeded, never a feasibility verdict.
 [[nodiscard]] MMFeasibility exact_mm_feasibility(
     const Instance& instance, int machines,
-    ExactEngine engine = ExactEngine::kStateSpace,
     std::int64_t node_budget = 4'000'000,
     const RunLimits& limits = RunLimits::none());
 

@@ -208,23 +208,18 @@ class BaselineAlgorithm final : public AdapterBase {
   std::shared_ptr<const IseBaseline> baseline_;
 };
 
-/// Exact minimum-calibration search. "exact-ise" runs the layered
-/// state-space engine; "exact-ise-bnb" keeps the original branch-and-bound
-/// as a differential oracle. `limits.node_budget` overrides the default
-/// state/node budget inside solve_exact_ise.
+/// Exact minimum-calibration search (layered state-space engine).
+/// `limits.node_budget` overrides the default state budget inside
+/// solve_exact_ise.
 class ExactIseAlgorithm final : public AdapterBase {
  public:
-  explicit ExactIseAlgorithm(ExactEngine engine)
-      : AdapterBase(engine == ExactEngine::kStateSpace ? "exact-ise"
-                                                       : "exact-ise-bnb",
-                    AlgorithmCapabilities{.exact = true}),
-        engine_(engine) {}
+  ExactIseAlgorithm()
+      : AdapterBase("exact-ise", AlgorithmCapabilities{.exact = true}) {}
 
  protected:
   void solve(const Instance& instance, const RunLimits& limits,
              TraceContext* trace, RunResult& result) const override {
     ExactIseOptions options;
-    options.engine = engine_;
     options.limits = limits;
     options.trace = trace;
     const ExactIseResult solved = solve_exact_ise(instance, options);
@@ -235,9 +230,6 @@ class ExactIseAlgorithm final : public AdapterBase {
     }
     fail_result(result, failure_status(solved.status), {}, name());
   }
-
- private:
-  ExactEngine engine_;
 };
 
 /// Any MM black box: reports machines, not calibrations.
@@ -453,17 +445,11 @@ const AlgorithmRegistry& AlgorithmRegistry::builtin() {
     built.add(std::make_shared<BaselineAlgorithm>(
         std::make_shared<BenderUnitLazyBinning>(),
         AlgorithmCapabilities{.requires_unit_jobs = true}));
-    built.add(std::make_shared<ExactIseAlgorithm>(ExactEngine::kStateSpace));
-    built.add(std::make_shared<ExactIseAlgorithm>(ExactEngine::kBranchBound));
+    built.add(std::make_shared<ExactIseAlgorithm>());
     built.add(std::make_shared<MmBoxAlgorithm>(
         "mm-greedy", std::make_shared<GreedyEdfMM>(), mm_caps()));
     built.add(std::make_shared<MmBoxAlgorithm>(
         "mm-exact", std::make_shared<ExactMM>(),
-        mm_caps(/*requires_unit=*/false, /*exact=*/true)));
-    built.add(std::make_shared<MmBoxAlgorithm>(
-        "mm-exact-bnb",
-        std::make_shared<ExactMM>(/*node_budget=*/4'000'000,
-                                  ExactEngine::kBranchBound),
         mm_caps(/*requires_unit=*/false, /*exact=*/true)));
     built.add(std::make_shared<MmBoxAlgorithm>(
         "mm-unit", std::make_shared<UnitEdfMM>(),

@@ -82,7 +82,7 @@ struct ServiceRequest {
   /// already-expired deadline and must complete with status "deadline"
   /// without running the solver.
   std::int64_t timeout_ms = -1;
-  std::int64_t node_budget = 0; ///< exact-engine node/state cap; 0 = default
+  std::int64_t node_budget = 0; ///< exact-search node/state cap; 0 = default
   bool want_schedule = false;   ///< attach the full schedule to the result
   // Arrive-only fields:
   Time arrive_time = 0;

@@ -1,0 +1,57 @@
+// Differential oracles for the tests and benches (library calib_oracles).
+//
+// The library ships one engine per problem. Each oracle here is a second,
+// independent implementation of the same contract, kept simple enough to
+// trust and too slow to ship; tests and benches compare the shipped engine
+// against it:
+//
+//   solve_lp_dense       vs solve_lp              (lp/simplex.hpp)
+//   bnb_mm_feasibility   vs exact_mm_feasibility  (mm/mm.hpp)
+//   solve_exact_ise_bnb  vs solve_exact_ise       (baselines/exact_ise.hpp)
+//   typed_tise_calibration_points vs tise_calibration_points (unit models)
+//
+// Nothing under src/ or tools/ links this library.
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "baselines/exact_ise.hpp"
+#include "core/instance.hpp"
+#include "lp/simplex.hpp"
+#include "mm/mm.hpp"
+#include "runtime/limits.hpp"
+
+namespace calisched {
+
+/// Dense two-phase tableau with solve_lp's statuses and semantics. It reads
+/// the shared tolerances, max_pivots, stall_before_bland, limits, and trace
+/// of `options` and ignores the revised engine's tuning, warm start, and
+/// workspace, so every call is a cold solve. Runs serially.
+[[nodiscard]] LpSolution solve_lp_dense(const LpModel& model,
+                                        const SimplexOptions& options = {});
+
+/// Depth-first branch-and-bound over left-shifted schedules, with the
+/// contract of exact_mm_feasibility: budget exhaustion or a RunLimits stop
+/// reports a non-kOk status, never a feasibility verdict. `nodes` counts
+/// search nodes.
+[[nodiscard]] MMFeasibility bnb_mm_feasibility(
+    const Instance& instance, int machines,
+    std::int64_t node_budget = 4'000'000,
+    const RunLimits& limits = RunLimits::none());
+
+/// Branch-and-bound minimum-calibration search with the contract of
+/// solve_exact_ise (`limits.node_budget` overrides `node_budget` when
+/// nonzero). `trace` is unused.
+[[nodiscard]] ExactIseResult solve_exact_ise_bnb(
+    const Instance& instance, const ExactIseOptions& options = {});
+
+/// Per-type trimmed grids for the generalized calibration model: entry k
+/// holds the canonical points t where some job admits a type-k calibration
+/// nested in its window (r_j <= t + delay_k and t + delay_k + length_k <=
+/// d_j). For a unit-model instance this has one entry, equal to
+/// tise_calibration_points(instance).
+[[nodiscard]] std::vector<std::vector<Time>> typed_tise_calibration_points(
+    const Instance& instance);
+
+}  // namespace calisched

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "core/calibration_points.hpp"
@@ -62,9 +63,38 @@ TEST(Instance, ValidateRejectsBadData) {
   instance.jobs[2].id = instance.jobs[0].id;  // duplicate id
   EXPECT_TRUE(instance.validate().has_value());
 
+  // The first error in job order wins: an earlier job's own error before a
+  // later repeat, and at the repeating job its id before its data.
+  instance = small_instance();  // ids 0, 1, 2
+  instance.jobs.push_back({0, 0, 30, 5});
+  instance.jobs[1].proc = 0;
+  EXPECT_EQ(instance.validate(), "job 1: processing time must be >= 1");
+  instance.jobs[1].proc = 10;
+  instance.jobs[3].proc = 0;
+  EXPECT_EQ(instance.validate(), "duplicate job id 0");
+  // ids 5, 2, 5, 2: the first repeat in job order is 5, not the smaller 2.
+  instance.jobs[0].id = 5;
+  instance.jobs[1].id = 2;
+  instance.jobs[2].id = 5;
+  instance.jobs[3] = {2, 0, 30, 5};
+  EXPECT_EQ(instance.validate(), "duplicate job id 5");
+
   instance = small_instance();
   instance.machines = 0;
   EXPECT_TRUE(instance.validate().has_value());
+}
+
+TEST(Instance, ValidateAcceptsTheLargestIdWithoutAnIdSizedTable) {
+  // Duplicate detection must not allocate by the largest id: a table
+  // indexed by id would take 256 MiB for 2^31 - 1.
+  const JobId largest = std::numeric_limits<JobId>::max();
+  Instance instance;
+  instance.machines = 1;
+  instance.T = 10;
+  instance.jobs = {{largest, 0, 10, 5}, {0, 0, 10, 5}};
+  EXPECT_FALSE(instance.validate().has_value());
+  instance.jobs[1].id = largest;
+  EXPECT_EQ(instance.validate(), "duplicate job id 2147483647");
 }
 
 TEST(Instance, JobById) {

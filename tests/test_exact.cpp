@@ -1,8 +1,10 @@
 // Tests for the exact minimum-calibration reference solver, including the
 // Lemma 2 trim-gap relation (exact TISE vs exact ISE) and the differential
-// sweep that pins the state-space engine to the branch-and-bound oracle.
+// sweep that pins the state-space engine to the branch-and-bound oracles
+// (tests/support/branch_bound.cpp).
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "baselines/baseline.hpp"
@@ -11,6 +13,7 @@
 #include "exact/search_stats.hpp"
 #include "gen/generators.hpp"
 #include "mm/mm.hpp"
+#include "oracles.hpp"
 #include "runtime/registry.hpp"
 #include "verify/verify.hpp"
 
@@ -223,12 +226,8 @@ TEST(ExactDifferential, IseEnginesAgreeAcrossGeneratorFamilies) {
   ASSERT_GE(instances.size(), 200u);
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const Instance& instance = instances[i];
-    ExactIseOptions state_options;
-    state_options.engine = ExactEngine::kStateSpace;
-    ExactIseOptions bnb_options;
-    bnb_options.engine = ExactEngine::kBranchBound;
-    const ExactIseResult state = solve_exact_ise(instance, state_options);
-    const ExactIseResult bnb = solve_exact_ise(instance, bnb_options);
+    const ExactIseResult state = solve_exact_ise(instance);
+    const ExactIseResult bnb = solve_exact_ise_bnb(instance);
     ASSERT_TRUE(state.solved) << "instance " << i;
     ASSERT_TRUE(bnb.solved) << "instance " << i;
     ASSERT_EQ(state.feasible, bnb.feasible) << "instance " << i;
@@ -246,10 +245,8 @@ TEST(ExactDifferential, MmEnginesAgreeAcrossGeneratorFamilies) {
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const Instance& instance = instances[i];
     for (int machines = 1; machines <= 3; ++machines) {
-      const MMFeasibility state = exact_mm_feasibility(
-          instance, machines, ExactEngine::kStateSpace);
-      const MMFeasibility bnb = exact_mm_feasibility(
-          instance, machines, ExactEngine::kBranchBound);
+      const MMFeasibility state = exact_mm_feasibility(instance, machines);
+      const MMFeasibility bnb = bnb_mm_feasibility(instance, machines);
       ASSERT_EQ(state.status, SolveStatus::kOk)
           << "instance " << i << ", m=" << machines;
       ASSERT_EQ(bnb.status, SolveStatus::kOk)
@@ -280,18 +277,14 @@ TEST(ExactStateSpace, DominanceAndMergingPruneTheLayeredGraph) {
     instance.jobs.push_back({j, j * 2, j * 2 + 16, 3});
   }
   exact_search_reset();
-  ExactIseOptions options;
-  options.engine = ExactEngine::kStateSpace;
-  const ExactIseResult result = solve_exact_ise(instance, options);
+  const ExactIseResult result = solve_exact_ise(instance);
   const ExactSearchCounters counters = exact_search_snapshot();
   ASSERT_TRUE(result.solved);
   ASSERT_TRUE(result.feasible);
   EXPECT_TRUE(verify_ise(instance, result.schedule).ok());
 
   // Same optimum as the oracle, reached with a collapsed graph.
-  ExactIseOptions bnb_options;
-  bnb_options.engine = ExactEngine::kBranchBound;
-  const ExactIseResult oracle = solve_exact_ise(instance, bnb_options);
+  const ExactIseResult oracle = solve_exact_ise_bnb(instance);
   ASSERT_TRUE(oracle.solved && oracle.feasible);
   EXPECT_EQ(result.optimal_calibrations, oracle.optimal_calibrations);
 
@@ -312,15 +305,17 @@ TEST(ExactIse, BudgetOneNeverReportsInfeasible) {
   instance.machines = 1;
   instance.T = 10;
   instance.jobs = {{0, 0, 20, 4}, {1, 0, 20, 5}};
-  for (const ExactEngine engine :
-       {ExactEngine::kStateSpace, ExactEngine::kBranchBound}) {
-    ExactIseOptions options;
-    options.engine = engine;
-    options.node_budget = 1;
-    const ExactIseResult result = solve_exact_ise(instance, options);
-    EXPECT_FALSE(result.solved) << to_string(engine);
-    EXPECT_FALSE(result.feasible) << to_string(engine);
-    EXPECT_EQ(result.status, SolveStatus::kLimitExceeded) << to_string(engine);
+  ExactIseOptions options;
+  options.node_budget = 1;
+  using ExactIseFn =
+      ExactIseResult (*)(const Instance&, const ExactIseOptions&);
+  const std::pair<const char*, ExactIseFn> engines[] = {
+      {"state-space", solve_exact_ise}, {"bnb", solve_exact_ise_bnb}};
+  for (const auto& [name, solve] : engines) {
+    const ExactIseResult result = solve(instance, options);
+    EXPECT_FALSE(result.solved) << name;
+    EXPECT_FALSE(result.feasible) << name;
+    EXPECT_EQ(result.status, SolveStatus::kLimitExceeded) << name;
   }
 }
 
@@ -331,13 +326,16 @@ TEST(ExactIse, RegistryBudgetOneSurfacesLimitNotInfeasible) {
   instance.jobs = {{0, 0, 20, 4}, {1, 0, 20, 5}};
   RunLimits limits;
   limits.node_budget = 1;
-  for (const char* name : {"exact-ise", "exact-ise-bnb"}) {
-    const Algorithm* algorithm = AlgorithmRegistry::builtin().find(name);
-    ASSERT_NE(algorithm, nullptr) << name;
-    const RunResult result = algorithm->run(instance, limits, nullptr);
-    EXPECT_FALSE(result.feasible) << name;
-    EXPECT_EQ(result.status, SolveStatus::kLimitExceeded) << name;
-  }
+  const Algorithm* exact = AlgorithmRegistry::builtin().find("exact-ise");
+  ASSERT_NE(exact, nullptr);
+  const RunResult result = exact->run(instance, limits, nullptr);
+  EXPECT_FALSE(result.feasible);
+  EXPECT_EQ(result.status, SolveStatus::kLimitExceeded);
+  // The oracle reads the same RunLimits override.
+  ExactIseOptions options;
+  options.limits = limits;
+  EXPECT_EQ(solve_exact_ise_bnb(instance, options).status,
+            SolveStatus::kLimitExceeded);
   // The MM adapter instead degrades to its greedy fallback: still feasible,
   // and still never "infeasible because the budget ran out".
   const Algorithm* mm = AlgorithmRegistry::builtin().find("mm-exact");

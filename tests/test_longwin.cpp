@@ -22,6 +22,7 @@
 #include "longwin/speed_transform.hpp"
 #include "longwin/tise_lp.hpp"
 #include "longwin/trim_transform.hpp"
+#include "oracles.hpp"
 #include "trace/trace.hpp"
 #include "verify/verify.hpp"
 
@@ -346,17 +347,15 @@ TEST(FractionalEdf, Lemma10Algorithm2IsAtLeastAsGood) {
   // completed too. Observable form: sort both per-job completion
   // positions; Algorithm 2's i-th completion is never later.
   //
-  // Pinned to the paper's full LP and the dense engine: the comparison is
+  // Pinned to the paper's full LP and the dense oracle: the comparison is
   // calendar-sensitive, and the calendar comes from rounding whichever
   // optimal vertex the LP lands on (engines, and the dominant-point LP
   // solve_tise_lp tries first, legitimately differ on degenerate optima).
-  SimplexOptions lp_options;
-  lp_options.engine = LpEngine::kDenseTableau;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const Instance instance = generate_long_window(long_params(seed, 12));
     const int m_prime = 3 * instance.machines;
     const TiseLpModel built = build_tise_lp(instance, m_prime);
-    const LpSolution lp = solve_lp(built.model, lp_options);
+    const LpSolution lp = solve_lp_dense(built.model);
     ASSERT_EQ(lp.status, LpStatus::kOptimal);
     std::vector<double> mass;
     for (const int column : built.calibration_column) {

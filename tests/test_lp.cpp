@@ -1,6 +1,7 @@
 // Tests for the two-phase simplex on textbook and randomized programs,
-// differential tests between the dense tableau and the revised engine, and
-// unit tests for the revised engine's presolve reductions.
+// differential tests between solve_lp (the revised engine) and the dense
+// tableau oracle, and unit tests for the revised engine's presolve
+// reductions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,24 +11,20 @@
 #include "lp/perf_counters.hpp"
 #include "lp/revised_simplex.hpp"
 #include "lp/simplex.hpp"
+#include "oracles.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 
 namespace calisched {
 namespace {
 
-SimplexOptions engine_options(LpEngine engine) {
-  SimplexOptions options;
-  options.engine = engine;
-  return options;
-}
-
-constexpr LpEngine kBothEngines[] = {LpEngine::kDenseTableau,
-                                     LpEngine::kRevised};
-
-const char* engine_name(LpEngine engine) {
-  return engine == LpEngine::kDenseTableau ? "dense" : "revised";
-}
+/// The shipped engine and its oracle, for tests that run both.
+struct LpSolver {
+  const char* name;
+  LpSolution (*solve)(const LpModel&, const SimplexOptions&);
+};
+constexpr LpSolver kBothEngines[] = {{"dense", solve_lp_dense},
+                                     {"revised", solve_lp}};
 
 TEST(Simplex, SolvesTextbookMaximization) {
   // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  =>  opt 36 at (2, 6).
@@ -174,44 +171,6 @@ TEST(Simplex, RandomProgramsAreFeasibleAtOptimum) {
   }
 }
 
-TEST(Simplex, ParallelEliminationMatchesSerial) {
-  // Force the parallel pivot path on a mid-size random program and check
-  // it produces the same optimum as the serial path.
-  Rng rng(31337);
-  LpModel model;
-  const int vars = 40;
-  for (int v = 0; v < vars; ++v) {
-    model.add_variable("v" + std::to_string(v), rng.uniform_real(-1.0, 1.0));
-  }
-  for (int v = 0; v < vars; ++v) {
-    const int row = model.add_row("cap" + std::to_string(v), RowSense::kLe,
-                                  rng.uniform_real(1.0, 5.0));
-    model.add_coefficient(row, v, 1.0);
-  }
-  for (int r = 0; r < 20; ++r) {
-    const int row = model.add_row("mix" + std::to_string(r), RowSense::kGe,
-                                  rng.uniform_real(0.1, 2.0));
-    for (int v = 0; v < vars; ++v) {
-      model.add_coefficient(row, v, rng.uniform_real(0.1, 1.0));
-    }
-  }
-  // Pinned to the dense engine: parallel row elimination is a dense-tableau
-  // feature (the revised engine's pivots are too cheap to parallelize).
-  SimplexOptions serial;
-  serial.engine = LpEngine::kDenseTableau;
-  serial.parallel = false;
-  SimplexOptions parallel;
-  parallel.engine = LpEngine::kDenseTableau;
-  parallel.parallel = true;
-  parallel.parallel_threshold = 0;  // force the parallel path
-  const LpSolution a = solve_lp(model, serial);
-  const LpSolution b = solve_lp(model, parallel);
-  ASSERT_EQ(a.status, LpStatus::kOptimal);
-  ASSERT_EQ(b.status, LpStatus::kOptimal);
-  EXPECT_NEAR(a.objective, b.objective, 1e-7);
-  EXPECT_LE(model.max_violation(b.values), 1e-6);
-}
-
 TEST(Simplex, BealeCyclingExampleTerminatesOnBothEngines) {
   // Beale's classic cycling LP: Dantzig pricing with naive tie-breaking
   // cycles forever at the degenerate origin. With an aggressive stall
@@ -235,19 +194,19 @@ TEST(Simplex, BealeCyclingExampleTerminatesOnBothEngines) {
   row = model.add_row("r3", RowSense::kLe, 1.0);
   model.add_coefficient(row, x3, 1.0);
 
-  for (const LpEngine engine : kBothEngines) {
+  for (const LpSolver& engine : kBothEngines) {
     TraceContext trace("lp");
-    SimplexOptions options = engine_options(engine);
+    SimplexOptions options;
     options.stall_before_bland = 2;  // engage Bland almost immediately
     options.max_pivots = 10'000;     // a cycle would exhaust this
     options.trace = &trace;
-    const LpSolution solution = solve_lp(model, options);
-    ASSERT_EQ(solution.status, LpStatus::kOptimal) << engine_name(engine);
-    EXPECT_NEAR(solution.objective, -0.05, 1e-9) << engine_name(engine);
-    EXPECT_NEAR(solution.values[x1], 0.04, 1e-9) << engine_name(engine);
-    EXPECT_NEAR(solution.values[x2], 0.0, 1e-9) << engine_name(engine);
-    EXPECT_NEAR(solution.values[x3], 1.0, 1e-9) << engine_name(engine);
-    EXPECT_NEAR(solution.values[x4], 0.0, 1e-9) << engine_name(engine);
+    const LpSolution solution = engine.solve(model, options);
+    ASSERT_EQ(solution.status, LpStatus::kOptimal) << engine.name;
+    EXPECT_NEAR(solution.objective, -0.05, 1e-9) << engine.name;
+    EXPECT_NEAR(solution.values[x1], 0.04, 1e-9) << engine.name;
+    EXPECT_NEAR(solution.values[x2], 0.0, 1e-9) << engine.name;
+    EXPECT_NEAR(solution.values[x3], 1.0, 1e-9) << engine.name;
+    EXPECT_NEAR(solution.values[x4], 0.0, 1e-9) << engine.name;
   }
 }
 
@@ -272,13 +231,13 @@ TEST(Simplex, HeavilyDegenerateProgramUsesBlandFallback) {
 
   double objectives[2] = {0.0, 0.0};
   int index = 0;
-  for (const LpEngine engine : kBothEngines) {
-    SimplexOptions options = engine_options(engine);
+  for (const LpSolver& engine : kBothEngines) {
+    SimplexOptions options;
     options.stall_before_bland = 1;
-    const LpSolution solution = solve_lp(model, options);
-    ASSERT_EQ(solution.status, LpStatus::kOptimal) << engine_name(engine);
+    const LpSolution solution = engine.solve(model, options);
+    ASSERT_EQ(solution.status, LpStatus::kOptimal) << engine.name;
     EXPECT_LE(model.max_violation(solution.values), 1e-7)
-        << engine_name(engine);
+        << engine.name;
     objectives[index++] = solution.objective;
   }
   EXPECT_NEAR(objectives[0], objectives[1], 1e-9);
@@ -310,10 +269,8 @@ TEST(Simplex, EnginesAgreeOnRandomBoundedPrograms) {
         model.add_coefficient(row, v, rng.uniform_real(0.1, 1.5));
       }
     }
-    const LpSolution dense =
-        solve_lp(model, engine_options(LpEngine::kDenseTableau));
-    const LpSolution revised =
-        solve_lp(model, engine_options(LpEngine::kRevised));
+    const LpSolution dense = solve_lp_dense(model);
+    const LpSolution revised = solve_lp(model);
     ASSERT_EQ(dense.status, revised.status) << "trial " << trial;
     if (dense.status != LpStatus::kOptimal) continue;
     EXPECT_NEAR(dense.objective, revised.objective, 1e-6) << "trial " << trial;
@@ -336,13 +293,11 @@ TEST(Simplex, EnginesAgreeOnInfeasibleAndUnbounded) {
   row = unbounded.add_row("ge", RowSense::kGe, 1.0);
   unbounded.add_coefficient(row, u, 1.0);
 
-  for (const LpEngine engine : kBothEngines) {
-    EXPECT_EQ(solve_lp(infeasible, engine_options(engine)).status,
-              LpStatus::kInfeasible)
-        << engine_name(engine);
-    EXPECT_EQ(solve_lp(unbounded, engine_options(engine)).status,
-              LpStatus::kUnbounded)
-        << engine_name(engine);
+  for (const LpSolver& engine : kBothEngines) {
+    EXPECT_EQ(engine.solve(infeasible, {}).status, LpStatus::kInfeasible)
+        << engine.name;
+    EXPECT_EQ(engine.solve(unbounded, {}).status, LpStatus::kUnbounded)
+        << engine.name;
   }
 }
 
@@ -480,12 +435,11 @@ TEST(Simplex, WarmStartSkipsPhase1OnResolveAndAgreesWithDense) {
   Rng rng(777);
   for (int trial = 0; trial < 20; ++trial) {
     const LpModel model = make_random_bounded_program(rng);
-    const LpSolution dense =
-        solve_lp(model, engine_options(LpEngine::kDenseTableau));
+    const LpSolution dense = solve_lp_dense(model);
 
     WarmStart warm;
     SimplexWorkspace workspace;
-    SimplexOptions options = engine_options(LpEngine::kRevised);
+    SimplexOptions options;
     options.warm_start = &warm;
     options.workspace = &workspace;
     const LpSolution cold = solve_lp(model, options);
@@ -533,9 +487,8 @@ TEST(Simplex, WarmChainedRhsSweepMatchesDenseOracle) {
     model.add_coefficient(floor_row, vars[0], 1.0);
     model.add_coefficient(floor_row, vars[1], 1.0);
 
-    const LpSolution dense =
-        solve_lp(model, engine_options(LpEngine::kDenseTableau));
-    SimplexOptions options = engine_options(LpEngine::kRevised);
+    const LpSolution dense = solve_lp_dense(model);
+    SimplexOptions options;
     options.warm_start = &warm;
     options.workspace = &workspace;
     const LpSolution solved = solve_lp(model, options);
@@ -555,12 +508,11 @@ TEST(Simplex, WarmChainedRhsSweepMatchesDenseOracle) {
 TEST(Simplex, CorruptWarmStartIsRejectedAndSolveStaysCorrect) {
   Rng rng(31337);
   const LpModel model = make_random_bounded_program(rng);
-  const LpSolution dense =
-      solve_lp(model, engine_options(LpEngine::kDenseTableau));
+  const LpSolution dense = solve_lp_dense(model);
   ASSERT_EQ(dense.status, LpStatus::kOptimal);
 
   WarmStart warm;
-  SimplexOptions options = engine_options(LpEngine::kRevised);
+  SimplexOptions options;
   options.warm_start = &warm;
   ASSERT_EQ(solve_lp(model, options).status, LpStatus::kOptimal);
   ASSERT_TRUE(warm.valid);
@@ -591,10 +543,10 @@ TEST(Simplex, WarmWorkspaceSolvesAreBitIdenticalToCold) {
   SimplexWorkspace warm_arena;
   for (int trial = 0; trial < 12; ++trial) {
     const LpModel model = make_random_bounded_program(rng);
-    SimplexOptions cold_options = engine_options(LpEngine::kRevised);
+    SimplexOptions cold_options;
     SimplexWorkspace cold_arena;
     cold_options.workspace = &cold_arena;
-    SimplexOptions warm_options = engine_options(LpEngine::kRevised);
+    SimplexOptions warm_options;
     warm_options.workspace = &warm_arena;
     const LpSolution cold = solve_lp(model, cold_options);
     const LpSolution warm = solve_lp(model, warm_options);
@@ -618,7 +570,7 @@ TEST(Simplex, PerfCountersProveWarmArenaStopsAllocating) {
   Rng rng(1029);
   const LpModel model = make_random_bounded_program(rng);
   SimplexWorkspace arena;
-  SimplexOptions options = engine_options(LpEngine::kRevised);
+  SimplexOptions options;
   options.workspace = &arena;
   ASSERT_EQ(solve_lp(model, options).status, LpStatus::kOptimal);  // warmup
 
@@ -643,9 +595,9 @@ TEST(Simplex, WorkspaceReuseAcrossShapesMatchesFreshSolves) {
   SimplexWorkspace workspace;
   for (int trial = 0; trial < 12; ++trial) {
     const LpModel model = make_random_bounded_program(rng);
-    SimplexOptions reused = engine_options(LpEngine::kRevised);
+    SimplexOptions reused;
     reused.workspace = &workspace;
-    const LpSolution fresh = solve_lp(model, engine_options(LpEngine::kRevised));
+    const LpSolution fresh = solve_lp(model);
     const LpSolution shared = solve_lp(model, reused);
     ASSERT_EQ(fresh.status, shared.status) << "trial " << trial;
     if (fresh.status != LpStatus::kOptimal) continue;

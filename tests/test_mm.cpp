@@ -11,6 +11,7 @@
 #include "mm/lp_bound.hpp"
 #include "mm/lp_rounding_mm.hpp"
 #include "mm/mm.hpp"
+#include "oracles.hpp"
 
 namespace calisched {
 namespace {
@@ -105,14 +106,19 @@ TEST(ExactMM, BeatsGreedyWhenGreedyOverprovisions) {
   }
 }
 
+/// The shipped feasibility search and its branch-and-bound oracle.
+using MmFeasibilityFn = MMFeasibility (*)(const Instance&, int, std::int64_t,
+                                          const RunLimits&);
+constexpr MmFeasibilityFn kMmSearches[] = {exact_mm_feasibility,
+                                           bnb_mm_feasibility};
+
 TEST(ExactMM, FeasibilityProbeRespectsMachineCount) {
   const Instance instance = tight_pair();
-  for (const ExactEngine engine :
-       {ExactEngine::kStateSpace, ExactEngine::kBranchBound}) {
-    const MMFeasibility one = exact_mm_feasibility(instance, 1, engine, 100000);
+  for (const MmFeasibilityFn search : kMmSearches) {
+    const MMFeasibility one = search(instance, 1, 100000, RunLimits::none());
     EXPECT_EQ(one.status, SolveStatus::kOk);
     EXPECT_FALSE(one.feasible);
-    const MMFeasibility two = exact_mm_feasibility(instance, 2, engine, 100000);
+    const MMFeasibility two = search(instance, 2, 100000, RunLimits::none());
     ASSERT_EQ(two.status, SolveStatus::kOk);
     ASSERT_TRUE(two.feasible);
     EXPECT_TRUE(verify_mm(instance, two.schedule).ok());
@@ -121,9 +127,9 @@ TEST(ExactMM, FeasibilityProbeRespectsMachineCount) {
 
 TEST(ExactMM, NodeCounterAdvances) {
   const Instance instance = tight_pair();
-  const MMFeasibility result = exact_mm_feasibility(
-      instance, 2, ExactEngine::kBranchBound, 100000);
-  EXPECT_GT(result.nodes, 0);
+  for (const MmFeasibilityFn search : kMmSearches) {
+    EXPECT_GT(search(instance, 2, 100000, RunLimits::none()).nodes, 0);
+  }
 }
 
 TEST(UnitEdfMM, ExactOnUnitJobs) {
@@ -303,29 +309,27 @@ TEST(StartTimeLpBound, HonorsCallerSimplexOptionsAndLimits) {
   expired.limits = RunLimits::deadline_after(std::chrono::nanoseconds{0});
   EXPECT_FALSE(mm_start_time_lp_bound(instance, 2000, expired).has_value());
 
-  // The engine choice is threaded through too: both engines must certify
-  // the same fractional bound.
-  SimplexOptions dense;
-  dense.engine = LpEngine::kDenseTableau;
-  SimplexOptions revised;
-  revised.engine = LpEngine::kRevised;
-  const auto via_dense = mm_start_time_lp_bound(instance, 2000, dense);
-  const auto via_revised = mm_start_time_lp_bound(instance, 2000, revised);
-  ASSERT_TRUE(via_dense.has_value() && via_revised.has_value());
-  EXPECT_NEAR(*via_dense, *via_revised, 1e-6);
+  // The workspace is threaded through too: a cold solve in a fresh arena
+  // certifies the reference bound.
+  SimplexWorkspace fresh;
+  SimplexOptions cold;
+  cold.workspace = &fresh;
+  const auto via_cold = mm_start_time_lp_bound(instance, 2000, cold);
+  ASSERT_TRUE(via_cold.has_value());
 
   // Repeated bound queries can chain a warm start + workspace through the
   // options; the certified value must not move.
   WarmStart warm;
   SimplexWorkspace workspace;
-  revised.warm_start = &warm;
-  revised.workspace = &workspace;
-  const auto first = mm_start_time_lp_bound(instance, 2000, revised);
-  const auto second = mm_start_time_lp_bound(instance, 2000, revised);
+  SimplexOptions chained;
+  chained.warm_start = &warm;
+  chained.workspace = &workspace;
+  const auto first = mm_start_time_lp_bound(instance, 2000, chained);
+  const auto second = mm_start_time_lp_bound(instance, 2000, chained);
   ASSERT_TRUE(first.has_value() && second.has_value());
   EXPECT_TRUE(warm.valid);
-  EXPECT_NEAR(*first, *via_dense, 1e-6);
-  EXPECT_NEAR(*second, *via_dense, 1e-6);
+  EXPECT_NEAR(*first, *via_cold, 1e-6);
+  EXPECT_NEAR(*second, *via_cold, 1e-6);
 }
 
 TEST(SpeedupMM, HalvesMachinesOnTightPair) {

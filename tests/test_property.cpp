@@ -37,6 +37,7 @@
 #include "longwin/rounding.hpp"
 #include "longwin/speed_transform.hpp"
 #include "mm/mm.hpp"
+#include "oracles.hpp"
 #include "shortwin/short_pipeline.hpp"
 #include "solver/ise_solver.hpp"
 #include "verify/verify.hpp"
@@ -132,31 +133,32 @@ TEST_P(LongWindowSweep, PipelineInvariants) {
 }
 
 TEST_P(LongWindowSweep, LpEnginesAgreeOnTiseRelaxation) {
-  // P7 (differential): the sparse revised simplex and the dense tableau
-  // must agree on the TISE relaxation across the whole sweep — same
-  // status, and at optimality the same objective to LP tolerance. Vertex
-  // choice may differ (degenerate optima), so values are checked only
-  // through each engine's own feasibility, not against each other.
+  // P7 (differential): solve_tise_lp and the dense tableau oracle on the
+  // paper's full LP must agree across the whole sweep — same status, and
+  // at optimality the same objective to LP tolerance. Vertex choice may
+  // differ (degenerate optima), so values are checked only through each
+  // solution's own feasibility, not against each other.
   const Instance instance = generate_long_window(to_params(GetParam()));
   const int m_prime = 3 * instance.machines;
-  SimplexOptions dense_options;
-  dense_options.engine = LpEngine::kDenseTableau;
-  SimplexOptions revised_options;
-  revised_options.engine = LpEngine::kRevised;
-  const TiseFractional dense = solve_tise_lp(instance, m_prime, dense_options);
-  const TiseFractional revised =
-      solve_tise_lp(instance, m_prime, revised_options);
+  const TiseLpModel full = build_tise_lp(instance, m_prime);
+  const LpSolution dense = solve_lp_dense(full.model);
+  const TiseFractional revised = solve_tise_lp(instance, m_prime);
   ASSERT_EQ(dense.status, revised.status);
   if (dense.status != LpStatus::kOptimal) return;
   EXPECT_NEAR(dense.objective, revised.objective, 1e-6);
   // Both fractional solutions must cover every job's processing demand.
-  for (const TiseFractional* lp : {&dense, &revised}) {
-    ASSERT_EQ(lp->assignment.size(), instance.size());
-    for (std::size_t j = 0; j < instance.size(); ++j) {
-      double fraction = 0.0;
-      for (const auto& [point, value] : lp->assignment[j]) fraction += value;
-      EXPECT_NEAR(fraction, 1.0, 1e-6) << "job " << j;
+  ASSERT_EQ(revised.assignment.size(), instance.size());
+  for (std::size_t j = 0; j < instance.size(); ++j) {
+    double revised_fraction = 0.0;
+    for (const auto& [point, value] : revised.assignment[j]) {
+      revised_fraction += value;
     }
+    double dense_fraction = 0.0;
+    for (const auto& [point, column] : full.assignment_columns[j]) {
+      dense_fraction += dense.values[static_cast<std::size_t>(column)];
+    }
+    EXPECT_NEAR(revised_fraction, 1.0, 1e-6) << "job " << j;
+    EXPECT_NEAR(dense_fraction, 1.0, 1e-6) << "job " << j;
   }
 }
 
@@ -318,15 +320,13 @@ std::vector<std::pair<std::string, Instance>> certificate_families(
 class TiseCertificateSweep : public testing::TestWithParam<SweepCase> {};
 
 TEST_P(TiseCertificateSweep, MatchesTheFullLpUnderTheDenseOracle) {
-  SimplexOptions oracle;
-  oracle.engine = LpEngine::kDenseTableau;
   for (const auto& [family, instance] : certificate_families(GetParam())) {
     if (instance.empty()) continue;
     for (const int multiplier : {1, 2, 3}) {
       const int m_prime = multiplier * instance.machines;
       SCOPED_TRACE(family + " m'=" + std::to_string(m_prime));
       const TiseLpModel full = build_tise_lp(instance, m_prime);
-      const LpSolution expected = solve_lp(full.model, oracle);
+      const LpSolution expected = solve_lp_dense(full.model);
       const TiseFractional fractional = solve_tise_lp(instance, m_prime);
       ASSERT_EQ(fractional.status, expected.status);
       if (expected.status != LpStatus::kOptimal) {

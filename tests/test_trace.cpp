@@ -11,7 +11,6 @@
 
 #include "gen/generators.hpp"
 #include "longwin/long_pipeline.hpp"
-#include "lp/simplex.hpp"
 #include "mm/mm.hpp"
 #include "shortwin/short_pipeline.hpp"
 #include "solver/ise_solver.hpp"
@@ -246,52 +245,6 @@ Instance mixed_instance(std::uint64_t seed) {
   params.min_proc = 1;
   params.max_proc = 6;
   return generate_mixed(params, 0.5);
-}
-
-TEST(TraceIntegration, DensePivotCountersPartitionByExecutionPath) {
-  // Every dense-tableau pivot runs either the serial or the parallel row
-  // elimination, and belongs to exactly one of phase 1, phase 2, or the
-  // post-phase-1 artificial expulsion. The two decompositions must count
-  // the same pivots: serial + parallel == phase1 + phase2 + expel.
-  LpModel model;
-  for (int v = 0; v < 6; ++v) {
-    model.add_variable("v" + std::to_string(v), (v % 2 == 0) ? 1.0 : -0.5);
-  }
-  for (int v = 0; v < 6; ++v) {
-    const int row = model.add_row("cap" + std::to_string(v), RowSense::kLe,
-                                  2.0 + v);
-    model.add_coefficient(row, v, 1.0);
-  }
-  // kGe and kEq rows force artificials, so phase 1 (and potentially the
-  // expel pass) contribute pivots too.
-  int row = model.add_row("ge", RowSense::kGe, 1.5);
-  for (int v = 0; v < 6; ++v) model.add_coefficient(row, v, 1.0);
-  row = model.add_row("eq", RowSense::kEq, 2.0);
-  model.add_coefficient(row, 0, 1.0);
-  model.add_coefficient(row, 1, 1.0);
-
-  for (const bool force_parallel : {false, true}) {
-    TraceContext trace("lp");
-    SimplexOptions options;
-    options.engine = LpEngine::kDenseTableau;
-    options.trace = &trace;
-    options.parallel = force_parallel;
-    if (force_parallel) options.parallel_threshold = 0;
-    const LpSolution solution = solve_lp(model, options);
-    ASSERT_EQ(solution.status, LpStatus::kOptimal);
-    EXPECT_GT(trace.counter("pivots.phase1"), 0);
-    EXPECT_EQ(
-        trace.counter("pivots.serial") + trace.counter("pivots.parallel"),
-        trace.counter("pivots.phase1") + trace.counter("pivots.phase2") +
-            trace.counter("pivots.expel"))
-        << (force_parallel ? "parallel" : "serial");
-    // The forced path must actually be the one that ran.
-    if (force_parallel) {
-      EXPECT_EQ(trace.counter("pivots.serial"), 0);
-    } else {
-      EXPECT_EQ(trace.counter("pivots.parallel"), 0);
-    }
-  }
 }
 
 TEST(TraceIntegration, SolveIseTraceMatchesTelemetryViews) {

@@ -7,9 +7,7 @@
 // Usage:
 //   calisched <instance-file> [--algo=NAME] [--gantt] [--csv] [--quiet]
 //             [--adaptive-mirror] [--prune-empty] [--relaxed] [--mm=NAME]
-//             [--exact-engine=state|bnb] [--node-budget=N]
-//             [--lp-engine=dense|revised] [--solve-threads=N]
-//             [--trace-json=FILE]
+//             [--node-budget=N] [--solve-threads=N] [--trace-json=FILE]
 //   calisched --generate=FAMILY --n=N --T=N --machines=N [--seed=N] --out=F
 //   calisched solve-batch [instance-files...] [--algo=NAME] [--threads=N]
 //             [--timeout-ms=N] [--node-budget=N] [--out=FILE] [--no-timing]
@@ -57,12 +55,9 @@
 // byte-identical for every --threads value once --no-timing drops the
 // elapsed-time fields. --timeout-ms is a per-instance wall-clock deadline
 // (records report status "deadline-exceeded" when it fires). --algo accepts
-// any registry name (see AlgorithmRegistry::builtin()); unlike the single-
-// instance path below, MM boxes (mm-*) and gap-min are valid here too.
-//
-// --lp-engine picks the simplex implementation behind the long-window TISE
-// relaxation: "revised" (default) is the sparse revised simplex, "dense" the
-// reference tableau (see src/lp/simplex.hpp).
+// any registry name (see AlgorithmRegistry::builtin()), including the MM
+// boxes (mm-*), gap-min, exact-ise and bender-lazy, which the single-
+// instance path below does not accept.
 //
 // --solve-threads=N fans the short-window pipeline's per-interval MM solves
 // out over N worker threads (0 = all hardware threads; default 1). The
@@ -73,15 +68,14 @@
 // counters, LP/MM telemetry, schedule stats) as JSON; FILE of "-" means
 // stdout.
 //
-// --exact-engine picks the implementation behind the exact solvers ("exact"
-// and --mm=exact): "state" (default) is the layered state-space engine,
-// "bnb" the original branch-and-bound differential oracle. --node-budget=N
-// caps their node/state count (exhaustion reports "budget exhausted", never
-// "infeasible"); 0 keeps each solver's default.
+// --node-budget=N caps the state count of the exact solvers ("exact" and
+// --mm=exact; exhaustion reports "budget exhausted", never "infeasible");
+// 0 keeps each solver's default.
 //
 // MM boxes can be speed-augmented with --mm-speed=S (Theorem 1's s-speed
 // augmentation).
-// Algorithms (--algo):
+// Algorithms (--algo) on the single-instance path; an unknown name lists
+// these:
 //   combined     Theorem 1 solver (default)
 //   long         Theorem 12 long-window pipeline (requires all-long input)
 //   long-speed   Theorem 14 (m machines, speed 36)
@@ -94,12 +88,14 @@
 //   exact-calib-cost   exact minimum cost under a caltype table (tiny)
 //   dp-calib-cost      single-machine cost DP (exact, tiny)
 //   greedy-calib-cost  lazy greedy over the caltype table
-//   online-edf         online EDF-into-calibrations (arrival-time replay)
+// online-edf runs through `replay`; every other registry name (exact-ise,
+// bender-lazy, gap-min, mm-*) through `solve-batch`.
 // MM boxes (--mm): greedy (default), exact, unit, lp-rounding.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
-#include <optional>
 
 #include "baselines/baseline.hpp"
 #include "core/schedule_io.hpp"
@@ -110,7 +106,6 @@
 #include "calib/greedy_cost.hpp"
 #include "gen/generators.hpp"
 #include "longwin/long_pipeline.hpp"
-#include "lp/simplex.hpp"
 #include "mm/lp_rounding_mm.hpp"
 #include "mm/mm.hpp"
 #include "online/online.hpp"
@@ -405,13 +400,11 @@ int replay_mode(const CliArgs& args) {
 
 std::shared_ptr<const MachineMinimizer> make_mm(const std::string& name,
                                                 std::int64_t speed,
-                                                ExactEngine engine,
                                                 std::int64_t node_budget) {
   std::shared_ptr<const MachineMinimizer> box;
   if (name == "greedy") box = std::make_shared<GreedyEdfMM>();
   if (name == "exact") {
-    box = std::make_shared<ExactMM>(
-        node_budget > 0 ? node_budget : 4'000'000, engine);
+    box = std::make_shared<ExactMM>(node_budget > 0 ? node_budget : 4'000'000);
   }
   if (name == "unit") box = std::make_shared<UnitEdfMM>();
   if (name == "lp-rounding") box = std::make_shared<LpRoundingMM>();
@@ -427,9 +420,27 @@ struct RunOutcome {
   bool tise = false;
 };
 
+/// The --algo names run_algorithm dispatches, in usage order.
+constexpr const char* kCliAlgorithms[] = {
+    "combined", "long", "long-speed", "short", "greedy-lazy", "per-job",
+    "saturate", "bender", "exact", "exact-calib-cost", "dp-calib-cost",
+    "greedy-calib-cost"};
+
 RunOutcome run_algorithm(const Instance& instance, const CliArgs& args,
                          const std::string& algo, TraceContext* trace) {
   RunOutcome outcome;
+  if (std::find(std::begin(kCliAlgorithms), std::end(kCliAlgorithms), algo) ==
+      std::end(kCliAlgorithms)) {
+    outcome.error = "unknown algorithm '" + algo + "'; accepted:";
+    for (const char* name : kCliAlgorithms) {
+      outcome.error += ' ';
+      outcome.error += name;
+    }
+    outcome.error +=
+        " (online-edf runs through replay, other registry names through "
+        "solve-batch)";
+    return outcome;
+  }
   // Same gate the registry applies: algorithms that predate the
   // calibration-cost model only understand the unit model.
   const bool model_aware = algo == "exact-calib-cost" ||
@@ -444,15 +455,6 @@ RunOutcome run_algorithm(const Instance& instance, const CliArgs& args,
   long_options.trace = trace;
   long_options.adaptive_mirror = args.get_bool("adaptive-mirror", false);
   long_options.prune_empty_calibrations = args.get_bool("prune-empty", false);
-  const std::string lp_engine = args.get("lp-engine", "revised");
-  if (lp_engine == "dense") {
-    long_options.lp.engine = LpEngine::kDenseTableau;
-  } else if (lp_engine == "revised") {
-    long_options.lp.engine = LpEngine::kRevised;
-  } else {
-    outcome.error = "unknown LP engine '" + lp_engine + "' (dense|revised)";
-    return outcome;
-  }
   IntervalOptions short_options;
   short_options.trace = trace;
   short_options.relaxed_calibrations = args.get_bool("relaxed", false);
@@ -462,16 +464,9 @@ RunOutcome run_algorithm(const Instance& instance, const CliArgs& args,
   if (short_options.relaxed_calibrations) {
     outcome.policy = CalibrationPolicy::kOverlapAllowed;
   }
-  const std::optional<ExactEngine> engine =
-      parse_exact_engine(args.get("exact-engine", "state"));
-  if (!engine) {
-    outcome.error = "unknown exact engine '" + args.get("exact-engine", "") +
-                    "' (state|bnb)";
-    return outcome;
-  }
   const std::int64_t node_budget = args.get_int("node-budget", 0);
   const auto mm = make_mm(args.get("mm", "greedy"), args.get_int("mm-speed", 1),
-                          *engine, node_budget);
+                          node_budget);
   if (!mm) {
     outcome.error = "unknown MM box (greedy|exact|unit|lp-rounding)";
     return outcome;
@@ -522,7 +517,6 @@ RunOutcome run_algorithm(const Instance& instance, const CliArgs& args,
     outcome.error = std::move(result.error);
   } else if (algo == "exact") {
     ExactIseOptions options;
-    options.engine = *engine;
     if (node_budget > 0) options.node_budget = node_budget;
     options.trace = trace;
     const ExactIseResult result = solve_exact_ise(instance, options);
@@ -547,8 +541,6 @@ RunOutcome run_algorithm(const Instance& instance, const CliArgs& args,
     outcome.feasible = result.feasible;
     outcome.schedule = std::move(result.schedule);
     outcome.error = std::move(result.error);
-  } else {
-    outcome.error = "unknown algorithm '" + algo + "'";
   }
   return outcome;
 }

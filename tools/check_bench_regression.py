@@ -50,7 +50,7 @@ TIMING_SUBSTRINGS = ("wall", "time", "speed", "throughput")
 ADVISORY_NAMES = {"hardware_cores", "elapsed_ns"}
 # "reuse": workspace-reuse hit counts — fewer warm arrivals is the
 # regression, so the direction flips like the other higher-is-better names.
-# "certified": exact-engine certified-size frontiers — a shrink means the
+# "certified": exact-search certified-size frontiers — a shrink means the
 # engine stopped proving optima it used to prove.
 HIGHER_IS_BETTER_FRAGMENTS = ("reduction", "speedup", "accepted", "solved",
                               "throughput", "reuse", "certified")

@@ -98,8 +98,10 @@ int main(int argc, char** argv) {
   int mm_max_state = 0;
   int mm_max_bnb = 0;
   ExactSearchCounters mm_counters;
+  RunLimits budget;
+  budget.node_budget = kBudget;
   for (const bool is_state : {true, false}) {
-    const ExactMM mm(kBudget);
+    const ExactMM mm;
     const std::string name = is_state ? mm.name() : "exact-bnb";
     for (const int k : {1, 2, 4, 8, 16}) {
       const Instance instance = wave_instance(k, 6, 12, 6, 4, 1'000'000, 1);
@@ -107,7 +109,7 @@ int main(int argc, char** argv) {
       exact_search_reset();
       const auto start = std::chrono::steady_clock::now();
       const MMResult result =
-          is_state ? mm.minimize(instance) : bnb_minimize(instance);
+          is_state ? mm.minimize(instance, budget) : bnb_minimize(instance);
       const double ms = elapsed_ms(start);
       const bool certified = result.feasible && result.algorithm == name;
       if (is_state) {
@@ -145,7 +147,7 @@ int main(int argc, char** argv) {
       const Instance instance = wave_instance(k, 4, 10, 8, 2, 6, 1);
       const int n = 4 * k;
       ExactIseOptions options;
-      options.node_budget = kBudget;
+      options.limits.node_budget = kBudget;
       options.max_calibrations = 999;
       exact_search_reset();
       const auto start = std::chrono::steady_clock::now();

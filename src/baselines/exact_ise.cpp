@@ -20,9 +20,7 @@ ExactIseResult solve_exact_ise(const Instance& instance,
     return result;
   }
   StateSpaceIseOptions space;
-  space.state_budget = options.limits.node_budget > 0
-                           ? options.limits.node_budget
-                           : options.node_budget;
+  space.state_budget = options.limits.node_budget_or(5'000'000);
   space.max_calibrations = options.max_calibrations;
   space.require_tise = options.require_tise;
   space.limits = options.limits;

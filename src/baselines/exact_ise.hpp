@@ -25,14 +25,13 @@ namespace calisched {
 class TraceContext;
 
 struct ExactIseOptions {
-  /// Node/state budget; `limits.node_budget` overrides it when nonzero.
-  std::int64_t node_budget = 5'000'000;
   /// Hard cap on the calibration count the search will try.
   int max_calibrations = 16;
   /// Restrict job placement to calibrations nested in the job's window
   /// (exact *TISE* optimum instead of exact ISE optimum).
   bool require_tise = false;
-  /// Deadline + cancellation, polled inside the search loops.
+  /// Deadline + cancellation, polled inside the search loops, and the
+  /// state budget (`limits.node_budget`, 5M when 0).
   RunLimits limits;
   /// Optional trace sink; the search emits a span per layer.
   TraceContext* trace = nullptr;

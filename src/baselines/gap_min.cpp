@@ -39,6 +39,7 @@ class BlockSearch {
   BlockSearch(const Instance& instance, const GapMinOptions& options)
       : instance_(instance),
         options_(options),
+        node_budget_(options.limits.node_budget_or(2'000'000)),
         poller_(options.limits, /*stride=*/1024) {
     // Candidate block start times: any integer in [min_r, max_d).
     for (Time t = instance.min_release(); t < instance.max_deadline(); ++t) {
@@ -77,7 +78,7 @@ class BlockSearch {
   /// Chooses `remaining_blocks` disjoint blocks (>= 1 idle slot apart)
   /// with total length `remaining_len`, starting at grid index >= from.
   bool place_blocks(int remaining_blocks, Time remaining_len, std::size_t from) {
-    if (++nodes_ > options_.node_budget ||
+    if (++nodes_ > node_budget_ ||
         poller_.poll() != SolveStatus::kOk) {
       budget_hit_ = true;  // either way: abandon the whole search
       return false;
@@ -115,6 +116,7 @@ class BlockSearch {
 
   const Instance& instance_;
   GapMinOptions options_;
+  std::int64_t node_budget_;
   LimitPoller poller_;
   std::vector<Time> grid_;
   std::vector<std::pair<Time, Time>> blocks_;  // (start, length)

@@ -37,9 +37,9 @@ struct GapMinResult {
 };
 
 struct GapMinOptions {
-  std::int64_t node_budget = 2'000'000;
   int max_blocks = 8;
-  /// Deadline + cancellation, polled inside the block search.
+  /// Deadline + cancellation, polled inside the block search, and the node
+  /// budget (`limits.node_budget`, 2M when 0).
   RunLimits limits;
 };
 

@@ -28,6 +28,7 @@ class CostDp {
   CostDp(const Instance& instance, const CostDpOptions& options)
       : instance_(instance),
         options_(options),
+        node_budget_(options.limits.node_budget_or(5'000'000)),
         model_(instance.effective_model()),
         poller_(options.limits, /*stride=*/256) {
     for (const Job& job : instance.jobs) jobs_.push_back(&job);
@@ -162,7 +163,7 @@ class CostDp {
         // All nonempty subsets of the eligible jobs.
         for (std::uint32_t sub = eligible; sub != 0;
              sub = (sub - 1) & eligible) {
-          if (++nodes_ > options_.node_budget ||
+          if (++nodes_ > node_budget_ ||
               poller_.poll() != SolveStatus::kOk) {
             budget_hit_ = true;
             return kInf;  // unmemoized: the value is not trustworthy
@@ -250,6 +251,7 @@ class CostDp {
 
   const Instance& instance_;
   CostDpOptions options_;
+  std::int64_t node_budget_;
   CalibrationModel model_;
   LimitPoller poller_;
   std::vector<const Job*> jobs_;

@@ -26,8 +26,8 @@
 namespace calisched {
 
 struct CostDpOptions {
-  std::int64_t node_budget = 5'000'000;
-  /// Deadline + cancellation, polled inside the DP loops.
+  /// Deadline + cancellation, polled inside the DP loops, and the node
+  /// budget (`limits.node_budget`, 5M when 0).
   RunLimits limits;
 };
 

@@ -28,6 +28,7 @@ class CostSearch {
   CostSearch(const Instance& instance, const CalibCostOptions& options)
       : instance_(instance),
         options_(options),
+        node_budget_(options.limits.node_budget_or(5'000'000)),
         model_(instance.effective_model()),
         poller_(options.limits, /*stride=*/1024) {
     // Candidate (start, type) pairs: a calibration is useful only if at
@@ -125,7 +126,7 @@ class CostSearch {
   /// keeping the occupancy overlap within the machine count and the cost
   /// bound below the best complete solution found so far.
   void choose_times(int remaining, std::size_t from, std::int64_t cost) {
-    if (++nodes_ > options_.node_budget ||
+    if (++nodes_ > node_budget_ ||
         poller_.poll() != SolveStatus::kOk) {
       budget_hit_ = true;  // either way: abandon the whole search
       return;
@@ -169,7 +170,7 @@ class CostSearch {
 
   /// Assigns jobs_by_deadline_[index..] to the chosen calibrations.
   bool pack_jobs(std::size_t index) {
-    if (++nodes_ > options_.node_budget ||
+    if (++nodes_ > node_budget_ ||
         poller_.poll() != SolveStatus::kOk) {
       budget_hit_ = true;  // either way: abandon the whole search
       return false;
@@ -268,6 +269,7 @@ class CostSearch {
 
   const Instance& instance_;
   CalibCostOptions options_;
+  std::int64_t node_budget_;
   CalibrationModel model_;
   LimitPoller poller_;
   std::vector<Candidate> grid_;

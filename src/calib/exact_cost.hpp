@@ -29,10 +29,10 @@
 namespace calisched {
 
 struct CalibCostOptions {
-  std::int64_t node_budget = 5'000'000;
   /// Hard cap on the calibration count the search will try.
   int max_calibrations = 16;
-  /// Deadline + cancellation, polled inside the search loops.
+  /// Deadline + cancellation, polled inside the search loops, and the node
+  /// budget (`limits.node_budget`, 5M when 0).
   RunLimits limits;
 };
 

@@ -57,7 +57,7 @@ LongWindowResult solve_long_window(const Instance& instance,
 
   // Step 2: LP relaxation on m' machines. The simplex reports pivots and
   // phase timings into its own child context.
-  SimplexOptions lp_options = options.lp;
+  SimplexOptions lp_options;
   lp_options.limits = options.limits;
   lp_options.trace = &trace->child("simplex");
   TraceSpan lp_span(trace, "lp");

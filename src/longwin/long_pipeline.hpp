@@ -54,10 +54,8 @@ struct LongWindowResult {
 };
 
 struct LongWindowOptions {
-  SimplexOptions lp;
   /// Deadline + cancellation, polled inside the simplex pivot loop (the
-  /// pipeline's only superpolynomial-in-practice stage). Copied over
-  /// `lp.limits` before solving.
+  /// pipeline's only superpolynomial-in-practice stage).
   RunLimits limits;
   /// Optional telemetry sink: stage spans (trim/lp/rounding/edf), LP shape
   /// and pivot counters, and calibration totals land here; the simplex

@@ -128,11 +128,11 @@ TiseFractional solve_model(const Instance& instance, TiseLpModel& built,
   return result;
 }
 
-/// True when no window [t, t + T) holds more than m' (+ tolerance) of
-/// calibration mass. Windows anchored at points with mass suffice: the
+/// True when no window [t, t + T) holds more than m' (+ kLpFeasibilityTol)
+/// of calibration mass. Windows anchored at points with mass suffice: the
 /// first such point inside any window anchors one holding all its mass.
 bool satisfies_window_rows(const TiseFractional& fractional, Time T,
-                           int m_prime, double tolerance) {
+                           int m_prime) {
   const std::vector<Time>& points = fractional.points;
   const std::vector<double>& mass = fractional.calibration_mass;
   for (std::size_t p = 0; p < points.size(); ++p) {
@@ -141,7 +141,7 @@ bool satisfies_window_rows(const TiseFractional& fractional, Time T,
     for (std::size_t q = p; q < points.size() && points[q] < points[p] + T; ++q) {
       window += mass[q];
     }
-    if (window > static_cast<double>(m_prime) + tolerance) return false;
+    if (window > static_cast<double>(m_prime) + kLpFeasibilityTol) return false;
   }
   return true;
 }
@@ -170,8 +170,7 @@ TiseFractional solve_tise_lp(const Instance& instance, int m_prime,
   // Only an optimum can carry the certificate. A stopped solve is final,
   // and so is an infeasible relaxation: the full LP is infeasible too.
   if (result.status != LpStatus::kOptimal ||
-      satisfies_window_rows(result, instance.T, m_prime,
-                            options.feasibility_tol)) {
+      satisfies_window_rows(result, instance.T, m_prime)) {
     return result;
   }
   TiseLpModel full = build_full(instance, std::move(result.points), m_prime);

@@ -19,6 +19,23 @@ std::uint64_t value_bits(double value) {
   return bits;
 }
 
+/// Pivots since the last basis refactorization that trigger the next one.
+/// The two-sided triangular peel makes a rebuild near-linear in the basis
+/// nonzeros, but each rebuild still FTRANs every basis column, so the sweet
+/// spot sits well above the eta-growth break-even; 64 won a 4x4x4
+/// parameter sweep on the TISE family.
+constexpr int kRefactorInterval = 64;
+/// Partial pricing: cap on the candidate list carried between pivots (each
+/// pivot re-prices the survivors; a full sweep still precedes any
+/// "optimal"). Small is fine — the list only seeds the next pivot.
+constexpr int kPricingCandidates = 8;
+/// Partial pricing: columns examined per scan section. Tuned over the E12
+/// TISE family (n = 6..32, independent seeds): 192 beat 128/160/224/256 on
+/// total wall clock, mostly through luckier entering-column choices (fewer
+/// pivots on the larger instances); the scan cost itself is nearly flat
+/// across that range.
+constexpr int kPricingSection = 192;
+
 /// splitmix64-style finalizer for the duplicate-row hash.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -29,10 +46,10 @@ std::uint64_t mix64(std::uint64_t x) {
 
 }  // namespace
 
-PresolvedLp presolve_lp(const LpModel& model, const SimplexOptions& options) {
+PresolvedLp presolve_lp(const LpModel& model) {
   const int rows = model.num_rows();
   const int cols = model.num_variables();
-  const double tol = options.feasibility_tol;
+  const double tol = kLpFeasibilityTol;
   PresolvedLp out;
   out.column_map.assign(static_cast<std::size_t>(cols), -1);
   out.fixed_values.assign(static_cast<std::size_t>(cols), 0.0);
@@ -60,157 +77,155 @@ PresolvedLp presolve_lp(const LpModel& model, const SimplexOptions& options) {
     return false;
   };
 
-  if (options.presolve) {
-    // --- iterate empty-row elimination + singleton-equality fixing -------
-    bool changed = true;
-    for (int pass = 0; changed && pass < 16; ++pass) {
-      changed = false;
-      for (int r = 0; r < rows; ++r) {
-        if (dropped[static_cast<std::size_t>(r)]) continue;
-        int live = 0;
-        int live_col = -1;
-        double live_coef = 0.0;
-        for (const LpEntry& entry : model.row_entries(r)) {
-          if (fixed[static_cast<std::size_t>(entry.column)]) continue;
-          ++live;
-          live_col = entry.column;
-          live_coef = entry.value;
-        }
-        const double b = adjusted_rhs(r);
-        if (live == 0) {
-          if (!empty_row_ok(model.sense(r), b)) {
-            summary.infeasible = true;
-            return out;
-          }
-          dropped[static_cast<std::size_t>(r)] = 1;
-          ++summary.rows_dropped;
-          changed = true;
-        } else if (live == 1 && model.sense(r) == RowSense::kEq &&
-                   live_coef != 0.0) {
-          const double x = b / live_coef;
-          if (x < -tol) {
-            summary.infeasible = true;
-            return out;
-          }
-          fixed[static_cast<std::size_t>(live_col)] = 1;
-          out.fixed_values[static_cast<std::size_t>(live_col)] = std::max(0.0, x);
-          ++summary.cols_fixed;
-          dropped[static_cast<std::size_t>(r)] = 1;
-          ++summary.rows_dropped;
-          changed = true;
-        }
-      }
-    }
-
-    // --- empty columns: unconstrained variables sit at their bound -------
-    std::vector<int> occurrences(static_cast<std::size_t>(cols), 0);
+  // --- iterate empty-row elimination + singleton-equality fixing -------
+  bool changed = true;
+  for (int pass = 0; changed && pass < 16; ++pass) {
+    changed = false;
     for (int r = 0; r < rows; ++r) {
       if (dropped[static_cast<std::size_t>(r)]) continue;
+      int live = 0;
+      int live_col = -1;
+      double live_coef = 0.0;
       for (const LpEntry& entry : model.row_entries(r)) {
-        if (!fixed[static_cast<std::size_t>(entry.column)]) {
-          ++occurrences[static_cast<std::size_t>(entry.column)];
+        if (fixed[static_cast<std::size_t>(entry.column)]) continue;
+        ++live;
+        live_col = entry.column;
+        live_coef = entry.value;
+      }
+      const double b = adjusted_rhs(r);
+      if (live == 0) {
+        if (!empty_row_ok(model.sense(r), b)) {
+          summary.infeasible = true;
+          return out;
         }
+        dropped[static_cast<std::size_t>(r)] = 1;
+        ++summary.rows_dropped;
+        changed = true;
+      } else if (live == 1 && model.sense(r) == RowSense::kEq &&
+                 live_coef != 0.0) {
+        const double x = b / live_coef;
+        if (x < -tol) {
+          summary.infeasible = true;
+          return out;
+        }
+        fixed[static_cast<std::size_t>(live_col)] = 1;
+        out.fixed_values[static_cast<std::size_t>(live_col)] = std::max(0.0, x);
+        ++summary.cols_fixed;
+        dropped[static_cast<std::size_t>(r)] = 1;
+        ++summary.rows_dropped;
+        changed = true;
       }
     }
-    for (int c = 0; c < cols; ++c) {
-      if (fixed[static_cast<std::size_t>(c)] ||
-          occurrences[static_cast<std::size_t>(c)] > 0) {
-        continue;
-      }
-      // x_c >= 0 free of constraints: optimal at 0, unless decreasing cost
-      // makes the whole model unbounded (pending feasibility of the rest).
-      if (model.cost(c) < -options.reduced_cost_tol) {
-        summary.unbounded_if_feasible = true;
-      }
-      fixed[static_cast<std::size_t>(c)] = 1;
-      out.fixed_values[static_cast<std::size_t>(c)] = 0.0;
-      ++summary.cols_fixed;
-    }
+  }
 
-    // --- duplicate rows: keep the binding copy ---------------------------
-    // A duplicate is a row with the same sense and the same live entries
-    // (values compared bit-exactly — presolve only merges literal
-    // duplicates, e.g. a constraint added twice by a model builder).
-    // Candidate rows are grouped by an order-independent hash of that key;
-    // only hash-equal groups materialize sorted entry lists for the exact
-    // comparison, so the common no-duplicate case builds no per-row key at
-    // all (the std::map<RowKey> this replaces allocated one entry vector
-    // per live row and compared them O(log n) times each).
-    std::vector<std::pair<std::uint64_t, int>> row_hashes;
-    row_hashes.reserve(static_cast<std::size_t>(rows));
-    for (int r = 0; r < rows; ++r) {
-      if (dropped[static_cast<std::size_t>(r)]) continue;
-      std::uint64_t h = mix64(static_cast<std::uint64_t>(model.sense(r)) + 1);
-      for (const LpEntry& entry : model.row_entries(r)) {
-        if (fixed[static_cast<std::size_t>(entry.column)]) continue;
-        // Commutative combine (+) so entry order never matters; exactness
-        // is restored by the full comparison below.
-        h += mix64(static_cast<std::uint64_t>(
-                       static_cast<std::uint32_t>(entry.column)) ^
-                   (value_bits(entry.value) * 0x9e3779b97f4a7c15ULL));
+  // --- empty columns: unconstrained variables sit at their bound -------
+  std::vector<int> occurrences(static_cast<std::size_t>(cols), 0);
+  for (int r = 0; r < rows; ++r) {
+    if (dropped[static_cast<std::size_t>(r)]) continue;
+    for (const LpEntry& entry : model.row_entries(r)) {
+      if (!fixed[static_cast<std::size_t>(entry.column)]) {
+        ++occurrences[static_cast<std::size_t>(entry.column)];
       }
-      row_hashes.emplace_back(h, r);
     }
-    std::sort(row_hashes.begin(), row_hashes.end());
+  }
+  for (int c = 0; c < cols; ++c) {
+    if (fixed[static_cast<std::size_t>(c)] ||
+        occurrences[static_cast<std::size_t>(c)] > 0) {
+      continue;
+    }
+    // x_c >= 0 free of constraints: optimal at 0, unless decreasing cost
+    // makes the whole model unbounded (pending feasibility of the rest).
+    if (model.cost(c) < -kLpReducedCostTol) {
+      summary.unbounded_if_feasible = true;
+    }
+    fixed[static_cast<std::size_t>(c)] = 1;
+    out.fixed_values[static_cast<std::size_t>(c)] = 0.0;
+    ++summary.cols_fixed;
+  }
 
-    using ExactKey = std::vector<std::pair<int, std::uint64_t>>;
-    // Leading (-1, sense) pseudo-entry keeps sense inside the one key.
-    const auto build_key = [&](int r, ExactKey& key) {
-      key.clear();
-      key.emplace_back(-1, static_cast<std::uint64_t>(model.sense(r)));
-      for (const LpEntry& entry : model.row_entries(r)) {
-        if (fixed[static_cast<std::size_t>(entry.column)]) continue;
-        key.emplace_back(entry.column, value_bits(entry.value));
-      }
-      std::sort(key.begin() + 1, key.end());
-    };
-    ExactKey key_scratch;
-    std::vector<std::pair<ExactKey, int>> group;  // distinct key -> survivor
-    for (std::size_t i = 0; i < row_hashes.size();) {
-      std::size_t j = i + 1;
-      while (j < row_hashes.size() &&
-             row_hashes[j].first == row_hashes[i].first) {
-        ++j;
-      }
-      if (j - i > 1) {
-        // Rows in a group arrive in ascending row order (pair sort), so
-        // the survivor logic matches the old in-order map walk exactly.
-        group.clear();
-        for (std::size_t g = i; g < j; ++g) {
-          const int r = row_hashes[g].second;
-          build_key(r, key_scratch);
-          bool matched = false;
-          for (auto& [key, survivor] : group) {
-            if (key != key_scratch) continue;  // hash collision
-            matched = true;
-            const int prior = survivor;
-            const double b_prior = adjusted_rhs(prior);
-            const double b_r = adjusted_rhs(r);
-            int drop = r;
-            switch (model.sense(r)) {
-              case RowSense::kLe:  // smaller rhs binds
-                if (b_r < b_prior) drop = prior;
-                break;
-              case RowSense::kGe:  // larger rhs binds
-                if (b_r > b_prior) drop = prior;
-                break;
-              case RowSense::kEq:
-                if (std::fabs(b_r - b_prior) > tol) {
-                  summary.infeasible = true;
-                  return out;
-                }
-                break;
-            }
-            dropped[static_cast<std::size_t>(drop)] = 1;
-            ++summary.rows_dropped;
-            if (drop == prior) survivor = r;
-            break;
+  // --- duplicate rows: keep the binding copy ---------------------------
+  // A duplicate is a row with the same sense and the same live entries
+  // (values compared bit-exactly — presolve only merges literal
+  // duplicates, e.g. a constraint added twice by a model builder).
+  // Candidate rows are grouped by an order-independent hash of that key;
+  // only hash-equal groups materialize sorted entry lists for the exact
+  // comparison, so the common no-duplicate case builds no per-row key at
+  // all (the std::map<RowKey> this replaces allocated one entry vector
+  // per live row and compared them O(log n) times each).
+  std::vector<std::pair<std::uint64_t, int>> row_hashes;
+  row_hashes.reserve(static_cast<std::size_t>(rows));
+  for (int r = 0; r < rows; ++r) {
+    if (dropped[static_cast<std::size_t>(r)]) continue;
+    std::uint64_t h = mix64(static_cast<std::uint64_t>(model.sense(r)) + 1);
+    for (const LpEntry& entry : model.row_entries(r)) {
+      if (fixed[static_cast<std::size_t>(entry.column)]) continue;
+      // Commutative combine (+) so entry order never matters; exactness
+      // is restored by the full comparison below.
+      h += mix64(static_cast<std::uint64_t>(
+                     static_cast<std::uint32_t>(entry.column)) ^
+                 (value_bits(entry.value) * 0x9e3779b97f4a7c15ULL));
+    }
+    row_hashes.emplace_back(h, r);
+  }
+  std::sort(row_hashes.begin(), row_hashes.end());
+
+  using ExactKey = std::vector<std::pair<int, std::uint64_t>>;
+  // Leading (-1, sense) pseudo-entry keeps sense inside the one key.
+  const auto build_key = [&](int r, ExactKey& key) {
+    key.clear();
+    key.emplace_back(-1, static_cast<std::uint64_t>(model.sense(r)));
+    for (const LpEntry& entry : model.row_entries(r)) {
+      if (fixed[static_cast<std::size_t>(entry.column)]) continue;
+      key.emplace_back(entry.column, value_bits(entry.value));
+    }
+    std::sort(key.begin() + 1, key.end());
+  };
+  ExactKey key_scratch;
+  std::vector<std::pair<ExactKey, int>> group;  // distinct key -> survivor
+  for (std::size_t i = 0; i < row_hashes.size();) {
+    std::size_t j = i + 1;
+    while (j < row_hashes.size() &&
+           row_hashes[j].first == row_hashes[i].first) {
+      ++j;
+    }
+    if (j - i > 1) {
+      // Rows in a group arrive in ascending row order (pair sort), so
+      // the survivor logic matches the old in-order map walk exactly.
+      group.clear();
+      for (std::size_t g = i; g < j; ++g) {
+        const int r = row_hashes[g].second;
+        build_key(r, key_scratch);
+        bool matched = false;
+        for (auto& [key, survivor] : group) {
+          if (key != key_scratch) continue;  // hash collision
+          matched = true;
+          const int prior = survivor;
+          const double b_prior = adjusted_rhs(prior);
+          const double b_r = adjusted_rhs(r);
+          int drop = r;
+          switch (model.sense(r)) {
+            case RowSense::kLe:  // smaller rhs binds
+              if (b_r < b_prior) drop = prior;
+              break;
+            case RowSense::kGe:  // larger rhs binds
+              if (b_r > b_prior) drop = prior;
+              break;
+            case RowSense::kEq:
+              if (std::fabs(b_r - b_prior) > tol) {
+                summary.infeasible = true;
+                return out;
+              }
+              break;
           }
-          if (!matched) group.emplace_back(key_scratch, r);
+          dropped[static_cast<std::size_t>(drop)] = 1;
+          ++summary.rows_dropped;
+          if (drop == prior) survivor = r;
+          break;
         }
+        if (!matched) group.emplace_back(key_scratch, r);
       }
-      i = j;
     }
+    i = j;
   }
 
   // --- identity fast path ------------------------------------------------
@@ -448,7 +463,7 @@ class RevisedSimplex {
         return solution;
       }
       refresh_basic_values();
-      if (phase1_infeasibility() > options_.feasibility_tol) {
+      if (phase1_infeasibility() > kLpFeasibilityTol) {
         solution.status = LpStatus::kInfeasible;
         return solution;
       }
@@ -618,7 +633,7 @@ class RevisedSimplex {
     }
     // refactorize() left basic_values_ = B^{-1} b for the warm basis.
     for (const double value : basic_values_) {
-      if (value < -options_.feasibility_tol) {  // not feasible under this rhs
+      if (value < -kLpFeasibilityTol) {  // not feasible under this rhs
         restore_cold_basis();
         return false;
       }
@@ -675,7 +690,7 @@ class RevisedSimplex {
       if (leaving < 0) return RunResult::kUnbounded;
       objective += entering_cost * pivot(leaving, entering);
       ++pivot_count;
-      if (etas_since_refactor_ >= options_.refactor_interval) refactorize();
+      if (etas_since_refactor_ >= kRefactorInterval) refactorize();
       if (objective < last_objective - 1e-12) {
         stall = 0;
         last_objective = objective;
@@ -712,12 +727,12 @@ class RevisedSimplex {
   int price_partial(const std::vector<double>& costs, bool allow_artificial) {
     const int limit = allow_artificial ? total_cols_ : artificial_base_;
     int best = -1;
-    double best_cost = -options_.reduced_cost_tol;
+    double best_cost = -kLpReducedCostTol;
     std::size_t kept = 0;
     for (const int c : candidates_) {
       if (c >= limit || in_basis_[static_cast<std::size_t>(c)]) continue;
       const double reduced = reduced_cost(costs, c);
-      if (reduced >= -options_.reduced_cost_tol) continue;
+      if (reduced >= -kLpReducedCostTol) continue;
       candidates_[kept++] = c;
       if (reduced < best_cost) {
         best_cost = reduced;
@@ -726,7 +741,6 @@ class RevisedSimplex {
     }
     candidates_.resize(kept);
 
-    const int section = std::max(1, options_.pricing_section);
     const auto is_basic = [this](int c) {
       return in_basis_[static_cast<std::size_t>(c)] != 0;
     };
@@ -736,15 +750,15 @@ class RevisedSimplex {
       // One contiguous slice of the cyclic sweep (sections straddling the
       // wrap split in two, so each slice is a single sequential scan).
       const int lo = cursor_;
-      const int hi = std::min(lo + std::min(section, limit - scanned), limit);
+      const int hi =
+          std::min(lo + std::min(kPricingSection, limit - scanned), limit);
       matrix_.dot_range(lo, hi, duals_, is_basic, [&](int c, double dot) {
         const double reduced = costs[static_cast<std::size_t>(c)] - dot;
-        if (reduced < -options_.reduced_cost_tol) {
-          // The list caps at pricing_candidates (it only feeds the next
+        if (reduced < -kLpReducedCostTol) {
+          // The list caps at kPricingCandidates (it only feeds the next
           // iteration's re-pricing); the entering column is tracked
           // separately, so a capped column can still enter now.
-          if (static_cast<int>(candidates_.size()) <
-              options_.pricing_candidates) {
+          if (static_cast<int>(candidates_.size()) < kPricingCandidates) {
             candidates_.push_back(c);
           }
           if (reduced < best_cost) {
@@ -770,7 +784,7 @@ class RevisedSimplex {
     const int limit = allow_artificial ? total_cols_ : artificial_base_;
     for (int c = 0; c < limit; ++c) {
       if (in_basis_[static_cast<std::size_t>(c)]) continue;
-      if (reduced_cost(costs, c) < -options_.reduced_cost_tol) return c;
+      if (reduced_cost(costs, c) < -kLpReducedCostTol) return c;
     }
     return -1;
   }
@@ -802,7 +816,7 @@ class RevisedSimplex {
     int best = -1;
     double best_ratio = std::numeric_limits<double>::infinity();
     for (const auto& [r, coef] : entering_) {
-      if (coef <= options_.pivot_tol) continue;
+      if (coef <= kLpPivotTol) continue;
       const double ratio = basic_values_[static_cast<std::size_t>(r)] / coef;
       if (ratio < best_ratio - 1e-12) {
         best_ratio = ratio;
@@ -932,7 +946,7 @@ class RevisedSimplex {
       }
       fresh_.ftran_indexed(work_, touched_, rf_eta_of_row_, scratch_->rf_heap);
       const double pivot_value = work_[static_cast<std::size_t>(r)];
-      const bool ok = std::fabs(pivot_value) > options_.pivot_tol;
+      const bool ok = std::fabs(pivot_value) > kLpPivotTol;
       rf_spill_.clear();
       for (const int row : touched_) {
         const double value = work_[static_cast<std::size_t>(row)];
@@ -1044,7 +1058,7 @@ class RevisedSimplex {
             pivot_row = row;
           }
         }
-        if (pivot_row < 0 || best <= options_.pivot_tol) {
+        if (pivot_row < 0 || best <= kLpPivotTol) {
           for (const int row : touched_) {
             work_[static_cast<std::size_t>(row)] = 0.0;
           }
@@ -1109,7 +1123,7 @@ class RevisedSimplex {
       duals_[static_cast<std::size_t>(r)] = 1.0;
       etas_.btran(duals_);
       int pivot_col = -1;
-      double best = options_.pivot_tol;
+      double best = kLpPivotTol;
       for (int c = 0; c < artificial_base_; ++c) {
         if (in_basis_[static_cast<std::size_t>(c)]) continue;
         const double magnitude = std::fabs(matrix_.dot(c, duals_));
@@ -1122,7 +1136,7 @@ class RevisedSimplex {
       load_column(pivot_col);
       pivot(r, pivot_col);
       ++expel_pivots;
-      if (etas_since_refactor_ >= options_.refactor_interval) refactorize();
+      if (etas_since_refactor_ >= kRefactorInterval) refactorize();
     }
   }
 
@@ -1243,7 +1257,7 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options) {
   }
   SimplexOptions opts = options;
   if (!opts.workspace) opts.workspace = &thread_default_workspace();
-  PresolvedLp presolved = presolve_lp(model, opts);
+  PresolvedLp presolved = presolve_lp(model);
   trace_set(opts.trace, "presolve.rows.dropped",
             presolved.summary.rows_dropped);
   trace_set(opts.trace, "presolve.cols.fixed", presolved.summary.cols_fixed);

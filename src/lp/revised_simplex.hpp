@@ -99,10 +99,9 @@ struct PresolvedLp {
   bool identity = false;
 };
 
-/// Runs the presolve reductions (gated by options.presolve; rhs
-/// normalization always happens) and returns the reduced model. When
-/// summary.infeasible is set the model must not be solved.
-[[nodiscard]] PresolvedLp presolve_lp(const LpModel& model,
-                                      const SimplexOptions& options);
+/// Runs the presolve reductions, normalizes every rhs, and returns the
+/// reduced model. When summary.infeasible is set the model must not be
+/// solved.
+[[nodiscard]] PresolvedLp presolve_lp(const LpModel& model);
 
 }  // namespace calisched

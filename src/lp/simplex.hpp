@@ -13,6 +13,8 @@
 // The tests and benches check it against a dense two-phase tableau with
 // the same semantics, solve_lp_dense in tests/support/oracles.hpp, which
 // reads only the shared tolerances, pivot cap, limits, and trace below.
+// The engine's tuning constants (refactorization interval, pricing
+// section and candidate list) are private to revised_simplex.cpp.
 #pragma once
 
 #include <cstdint>
@@ -41,31 +43,15 @@ enum class LpStatus {
 /// so an unbounded verdict signals a construction bug or roundoff).
 [[nodiscard]] SolveStatus lp_status_to_solve(LpStatus status) noexcept;
 
+// Tolerances shared by solve_lp, the dense oracle, and the TISE LP's window
+// certificate.
+inline constexpr double kLpFeasibilityTol = 1e-7;  ///< constraint / phase 1
+inline constexpr double kLpPivotTol = 1e-9;        ///< smallest usable pivot
+inline constexpr double kLpReducedCostTol = 1e-9;  ///< optimality threshold
+
 struct SimplexOptions {
-  double feasibility_tol = 1e-7;   ///< constraint / phase-1 feasibility
-  double pivot_tol = 1e-9;         ///< smallest acceptable pivot magnitude
-  double reduced_cost_tol = 1e-9;  ///< optimality threshold
   std::int64_t max_pivots = 2'000'000;
   int stall_before_bland = 256;    ///< non-improving pivots before Bland
-
-  // --- revised engine tuning --------------------------------------------
-  bool presolve = true;            ///< run the presolve reductions
-  /// Pivots since the last basis refactorization that trigger the next
-  /// one. The two-sided triangular peel makes a rebuild near-linear in the
-  /// basis nonzeros, but each rebuild still FTRANs every basis column, so
-  /// the sweet spot sits well above the eta-growth break-even; 64 won a
-  /// 4x4x4 parameter sweep on the TISE family.
-  int refactor_interval = 64;
-  /// Partial pricing: cap on the candidate list carried between pivots
-  /// (each pivot re-prices the survivors; a full sweep still precedes any
-  /// "optimal"). Small is fine — the list only seeds the next pivot.
-  int pricing_candidates = 8;
-  /// Partial pricing: columns examined per scan section. Tuned over the
-  /// E12 TISE family (n = 6..32, independent seeds): 192 beat 128/160/
-  /// 224/256 on total wall clock, mostly through luckier entering-column
-  /// choices (fewer pivots on the larger instances); the scan cost itself
-  /// is nearly flat across that range.
-  int pricing_section = 192;
 
   /// Optional in/out starting basis (the dense oracle ignores it, so
   /// differential runs stay cold-start comparable). On entry a valid basis

@@ -36,8 +36,7 @@ MMResult ExactMM::minimize(const Instance& instance,
     result.schedule.machines = 0;
     return result;
   }
-  const std::int64_t budget =
-      limits.node_budget > 0 ? limits.node_budget : node_budget_;
+  const std::int64_t budget = limits.node_budget_or(4'000'000);
   const int n = static_cast<int>(instance.size());
   for (int m = mm_lower_bound(instance); m <= n; ++m) {
     MMFeasibility search = exact_mm_feasibility(instance, m, budget, limits);

@@ -134,10 +134,10 @@ MMResult LpRoundingMM::minimize_impl(const Instance& instance,
   auto built = build_start_time_lp(instance, options_.max_slots);
   std::optional<LpSolution> solution;
   if (built) {
-    SimplexOptions lp_options = options_.lp;
+    SimplexOptions lp_options;
     lp_options.limits = limits;
     // A caller trace (the telemetry overload) gets the LP telemetry as an
-    // "lp" child; otherwise whatever sink Options::lp configured stands.
+    // "lp" child.
     if (trace != nullptr) lp_options.trace = &trace->child("lp");
     LpSolution solved = solve_lp(built->model, lp_options);
     if (solved.status == LpStatus::kDeadlineExceeded ||

@@ -32,9 +32,9 @@ namespace calisched {
 /// The start-time LP value (fractional machines); nullopt if the horizon
 /// exceeds `max_slots` or the solver fails (including a deadline or
 /// cancellation carried in lp.limits). ceil(value) is a certified MM lower
-/// bound, dominating the preemptive bound of mm_lp_bound(). `lp` selects
-/// the engine, tolerances, RunLimits, and (for repeated bound queries) an
-/// optional warm start / workspace for the underlying solve.
+/// bound, dominating the preemptive bound of mm_lp_bound(). `lp` carries
+/// the RunLimits and (for repeated bound queries) an optional warm start /
+/// workspace for the underlying solve.
 [[nodiscard]] std::optional<double> mm_start_time_lp_bound(
     const Instance& instance, Time max_slots = 2000,
     const SimplexOptions& lp = {});
@@ -45,10 +45,6 @@ class LpRoundingMM final : public MachineMinimizer {
     std::uint64_t seed = 0x5eedULL;
     int samples = 32;      ///< random rounding attempts (plus one arg-max)
     Time max_slots = 2000; ///< horizon cap; beyond it, fall back to greedy
-    /// Simplex configuration for the start-time LP (engine, tolerances,
-    /// warm start / workspace). The RunLimits handed to minimize() replace
-    /// lp.limits for that call, so a deadline always reaches the solver.
-    SimplexOptions lp;
   };
 
   LpRoundingMM() : options_() {}
@@ -60,10 +56,7 @@ class LpRoundingMM final : public MachineMinimizer {
 
  protected:
   /// Threads the caller's trace into the start-time LP solve (as an "lp"
-  /// child context), on top of the per-call limits override. The options_
-  /// copy is the only SimplexOptions this box ever constructs — every
-  /// other knob (engine, tolerances, warm start, workspace) flows through
-  /// from the caller-supplied Options::lp untouched.
+  /// child context), next to the per-call limits.
   [[nodiscard]] MMResult minimize_traced(const Instance& instance,
                                          const RunLimits& limits,
                                          TraceContext* trace) const override;

@@ -92,19 +92,14 @@ class GreedyEdfMM final : public MachineMinimizer {
 /// Exact MM over left-shifted schedules with a state budget, searched by
 /// the layered state-space engine (src/exact/state_space.hpp). Exceeding
 /// the budget falls back to the greedy result (and the MMResult notes it
-/// via `algorithm`); the effective budget is `limits.node_budget` when set,
-/// else the constructor's.
+/// via `algorithm`); the budget is `limits.node_budget` (4M when 0) per
+/// machine count tried.
 class ExactMM final : public MachineMinimizer {
  public:
-  explicit ExactMM(std::int64_t node_budget = 4'000'000)
-      : node_budget_(node_budget) {}
   using MachineMinimizer::minimize;
   [[nodiscard]] MMResult minimize(const Instance& instance,
                                   const RunLimits& limits) const override;
   [[nodiscard]] std::string name() const override { return "exact-state"; }
-
- private:
-  std::int64_t node_budget_;
 };
 
 /// Exact MM for unit processing times (p_j = 1 for all j): timestep-by-

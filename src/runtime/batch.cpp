@@ -18,6 +18,42 @@ std::uint64_t derive_instance_seed(std::uint64_t base_seed,
   return splitmix64(state);
 }
 
+Instance generate_family_instance(const BatchSpec& spec,
+                                  const GenParams& params) {
+  const std::string& family = spec.family;
+  if (family == "mixed") return generate_mixed(params, spec.long_fraction);
+  if (family == "long") return generate_long_window(params);
+  if (family == "short") return generate_short_window(params);
+  if (family == "unit") {
+    return generate_unit(
+        params, spec.max_window > 0 ? spec.max_window : 2 * params.T - 1);
+  }
+  if (family == "clustered") {
+    return generate_clustered(params, spec.bursts > 0 ? spec.bursts : 3,
+                              spec.burst_span > 0 ? spec.burst_span : params.T,
+                              spec.long_windows);
+  }
+  if (family == "calib-cheap-short") {
+    return generate_calib_cost(params, CalibTableRegime::kCheapShort);
+  }
+  if (family == "calib-expensive-long") {
+    return generate_calib_cost(params, CalibTableRegime::kExpensiveLong);
+  }
+  if (family == "calib-delayed") {
+    return generate_calib_cost(params, CalibTableRegime::kDelayed);
+  }
+  if (family == "online-poisson") return generate_online_poisson(params);
+  if (family == "online-burst") {
+    return generate_online_burst(params, spec.bursts > 0 ? spec.bursts : 4);
+  }
+  if (family == "online-drip") return generate_online_drip(params);
+  throw std::invalid_argument(
+      "unknown family '" + family +
+      "' (mixed|long|short|unit|clustered|calib-cheap-short|"
+      "calib-expensive-long|calib-delayed|online-poisson|online-burst|"
+      "online-drip)");
+}
+
 std::vector<Instance> generate_batch(const BatchSpec& spec,
                                      std::vector<std::uint64_t>* seeds_out) {
   std::vector<Instance> instances;
@@ -30,43 +66,7 @@ std::vector<Instance> generate_batch(const BatchSpec& spec,
     GenParams params = spec.params;
     params.seed = derive_instance_seed(spec.params.seed, i);
     if (seeds_out) seeds_out->push_back(params.seed);
-    if (spec.family == "mixed") {
-      instances.push_back(generate_mixed(params, spec.long_fraction));
-    } else if (spec.family == "long") {
-      instances.push_back(generate_long_window(params));
-    } else if (spec.family == "short") {
-      instances.push_back(generate_short_window(params));
-    } else if (spec.family == "unit") {
-      const Time max_window =
-          spec.max_window > 0 ? spec.max_window : 2 * params.T - 1;
-      instances.push_back(generate_unit(params, max_window));
-    } else if (spec.family == "clustered") {
-      const Time burst_span = spec.burst_span > 0 ? spec.burst_span : params.T;
-      instances.push_back(generate_clustered(params, spec.bursts, burst_span,
-                                             spec.long_windows));
-    } else if (spec.family == "calib-cheap-short") {
-      instances.push_back(
-          generate_calib_cost(params, CalibTableRegime::kCheapShort));
-    } else if (spec.family == "calib-expensive-long") {
-      instances.push_back(
-          generate_calib_cost(params, CalibTableRegime::kExpensiveLong));
-    } else if (spec.family == "calib-delayed") {
-      instances.push_back(
-          generate_calib_cost(params, CalibTableRegime::kDelayed));
-    } else if (spec.family == "online-poisson") {
-      instances.push_back(generate_online_poisson(params));
-    } else if (spec.family == "online-burst") {
-      instances.push_back(generate_online_burst(
-          params, spec.bursts > 0 ? spec.bursts : 4));
-    } else if (spec.family == "online-drip") {
-      instances.push_back(generate_online_drip(params));
-    } else {
-      throw std::invalid_argument(
-          "unknown batch family '" + spec.family +
-          "' (mixed|long|short|unit|clustered|calib-cheap-short|"
-          "calib-expensive-long|calib-delayed|online-poisson|online-burst|"
-          "online-drip)");
-    }
+    instances.push_back(generate_family_instance(spec, params));
   }
   return instances;
 }

@@ -31,18 +31,28 @@ namespace calisched {
 /// A generator-backed batch: `count` instances of one family, instance i
 /// generated with seed derive_instance_seed(params.seed, i).
 struct BatchSpec {
-  /// mixed|long|short|unit|clustered, or a calibration-cost family over an
+  /// mixed|long|short|unit|clustered, a calibration-cost family over an
   /// explicit type table: calib-cheap-short|calib-expensive-long|
-  /// calib-delayed (see CalibTableRegime).
+  /// calib-delayed (see CalibTableRegime), or an arrival-process family:
+  /// online-poisson|online-burst|online-drip.
   std::string family = "mixed";
   std::size_t count = 8;
   GenParams params;              ///< params.seed is the *base* seed
   double long_fraction = 0.5;    ///< mixed family
   Time max_window = 0;           ///< unit family; 0 means 2T - 1
-  int bursts = 3;                ///< clustered family
+  /// clustered and online-burst families; 0 means the family's default
+  /// (3 for clustered, 4 for online-burst)
+  int bursts = 0;
   Time burst_span = 0;           ///< clustered family; 0 means T
   bool long_windows = false;     ///< clustered family
 };
+
+/// One instance of `spec.family` generated from `params`, whose seed is
+/// used as given; throws std::invalid_argument on an unknown family. The
+/// one table from family names to generators: generate_batch calls it
+/// once per derived seed, and `calisched --generate` once.
+[[nodiscard]] Instance generate_family_instance(const BatchSpec& spec,
+                                                const GenParams& params);
 
 /// Materializes the spec; throws std::invalid_argument on an unknown
 /// family. `seeds_out` (optional) receives each instance's derived seed.

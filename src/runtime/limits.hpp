@@ -51,6 +51,7 @@ struct RunLimits {
   /// boxes ignore it), and exhaustion surfaces as kLimitExceeded — it is a
   /// resource limit, never an infeasibility verdict. Not part of
   /// unlimited(): a budget alone doesn't require clock/cancel polling.
+  /// No options struct carries a second, settable budget.
   std::int64_t node_budget = 0;
 
   [[nodiscard]] static RunLimits none() noexcept { return {}; }
@@ -62,6 +63,13 @@ struct RunLimits {
     RunLimits limits;
     limits.deadline = Clock::now() + budget;
     return limits;
+  }
+
+  /// The budget an exact solver runs under: node_budget, or the solver's
+  /// `fallback` when it is 0.
+  [[nodiscard]] std::int64_t node_budget_or(
+      std::int64_t fallback) const noexcept {
+    return node_budget > 0 ? node_budget : fallback;
   }
 
   [[nodiscard]] bool has_deadline() const noexcept {

@@ -26,10 +26,10 @@ bool all_long(const Instance& instance) {
                      [&](const Job& job) { return job.is_long(instance.T); });
 }
 
-// The short-window pipeline's own precondition (gamma = 2): window <= 2T.
+// The short-window pipeline's own precondition: window <= gamma * T.
 bool all_short(const Instance& instance) {
   return std::all_of(instance.jobs.begin(), instance.jobs.end(), [&](const Job& job) {
-    return job.window() <= 2 * instance.T;
+    return job.window() <= kGamma * instance.T;
   });
 }
 
@@ -208,9 +208,8 @@ class BaselineAlgorithm final : public AdapterBase {
   std::shared_ptr<const IseBaseline> baseline_;
 };
 
-/// Exact minimum-calibration search (layered state-space engine).
-/// `limits.node_budget` overrides the default state budget inside
-/// solve_exact_ise.
+/// Exact minimum-calibration search (layered state-space engine) under
+/// `limits.node_budget`.
 class ExactIseAlgorithm final : public AdapterBase {
  public:
   ExactIseAlgorithm()

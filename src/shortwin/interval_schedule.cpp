@@ -15,8 +15,7 @@ IntervalScheduleResult schedule_interval(const Instance& jobs, Time interval_sta
                                          const IntervalOptions& options) {
   IntervalScheduleResult result;
   const Time T = jobs.T;
-  const Time gamma = options.gamma;
-  const Time interval_end = interval_start + 2 * gamma * T;
+  const Time interval_end = interval_start + 2 * kGamma * T;
   for (const Job& job : jobs.jobs) {
     assert(interval_start <= job.release && job.deadline <= interval_end);
     (void)job;
@@ -76,7 +75,7 @@ IntervalScheduleResult schedule_interval(const Instance& jobs, Time interval_sta
     const int machine = compact[sj.machine];
     const Time x = sj.start;  // ticks
     const Time k = floor_div(x - start_ticks, cal_ticks);
-    assert(k >= 0 && k < 2 * gamma);
+    assert(k >= 0 && k < 2 * kGamma);
     // Duration is exactly proc ticks (p / s real time on an s-speed machine).
     const bool crossing = x + job.proc > start_ticks + (k + 1) * cal_ticks;
     if (!crossing) {
@@ -97,7 +96,7 @@ IntervalScheduleResult schedule_interval(const Instance& jobs, Time interval_sta
   }
 
   for (int machine = 0; machine < w; ++machine) {
-    for (Time k = 0; k < 2 * gamma; ++k) {
+    for (Time k = 0; k < 2 * kGamma; ++k) {
       if (options.trim_unused_calibrations &&
           !used_slots.count({machine, k})) {
         continue;

@@ -31,8 +31,10 @@ struct IntervalScheduleResult {
   std::string error;
 };
 
+/// The short-window factor gamma; Definition 1 fixes it at 2.
+inline constexpr Time kGamma = 2;
+
 struct IntervalOptions {
-  Time gamma = 2;  ///< short-window factor; Definition 1 fixes gamma = 2
   /// Deadline + cancellation, forwarded to every MM black-box invocation.
   RunLimits limits;
   /// Optional telemetry sink (the short-window pipeline's context): MM

@@ -15,9 +15,8 @@ namespace {
 /// (intervals [offset + i*2gT, offset + (i+1)*2gT)), removing grouped jobs
 /// from `pending`. Returns interval-start -> sub-instance.
 std::map<Time, Instance> partition_pass(std::vector<Job>& pending,
-                                        const Instance& parent, Time offset,
-                                        Time gamma) {
-  const Time width = 2 * gamma * parent.T;
+                                        const Instance& parent, Time offset) {
+  const Time width = 2 * kGamma * parent.T;
   std::map<Time, Instance> intervals;
   std::vector<Job> leftover;
   leftover.reserve(pending.size());
@@ -59,7 +58,6 @@ ShortWindowTelemetry ShortWindowTelemetry::from_trace(const TraceContext& trace)
 ShortWindowResult solve_short_window(const Instance& instance,
                                      const MachineMinimizer& mm,
                                      const IntervalOptions& options) {
-  const Time gamma = options.gamma;
   ShortWindowResult result;
   // All telemetry flows through the trace; the caller's sink is used when
   // provided, a local one otherwise, and the legacy telemetry struct is
@@ -73,7 +71,7 @@ ShortWindowResult solve_short_window(const Instance& instance,
     return std::move(result);
   };
   for (const Job& job : instance.jobs) {
-    assert(job.window() <= gamma * instance.T &&
+    assert(job.window() <= kGamma * instance.T &&
            "short-window pipeline requires windows <= gamma*T");
     (void)job;
   }
@@ -92,9 +90,9 @@ ShortWindowResult solve_short_window(const Instance& instance,
     int max_w = 0;
   };
   Pass passes[2];
-  passes[0].intervals = partition_pass(pending, instance, /*offset=*/0, gamma);
+  passes[0].intervals = partition_pass(pending, instance, /*offset=*/0);
   passes[1].intervals =
-      partition_pass(pending, instance, /*offset=*/gamma * instance.T, gamma);
+      partition_pass(pending, instance, /*offset=*/kGamma * instance.T);
   partition_span.stop();
   if (!pending.empty()) {
     // Contradicts Lemma 16 for short jobs; defensive (asserted above).

@@ -155,6 +155,7 @@ class ExactSearch {
   ExactSearch(const Instance& instance, const ExactIseOptions& options)
       : instance_(instance),
         options_(options),
+        node_budget_(options.limits.node_budget_or(5'000'000)),
         poller_(options.limits, /*stride=*/1024) {
     // Candidate integer start times: a calibration is useful only if at
     // least one job can run inside it.
@@ -227,7 +228,7 @@ class ExactSearch {
   /// Picks `remaining` more calibration start times, nondecreasing, from
   /// grid_[from..], keeping the sliding overlap within the machine count.
   bool choose_times(int remaining, std::size_t from) {
-    if (++nodes_ > options_.node_budget ||
+    if (++nodes_ > node_budget_ ||
         poller_.poll() != SolveStatus::kOk) {
       budget_hit_ = true;  // either way: abandon the whole search
       return false;
@@ -252,7 +253,7 @@ class ExactSearch {
 
   /// Assigns jobs_by_deadline_[index..] to the chosen calibrations.
   bool pack_jobs(std::size_t index) {
-    if (++nodes_ > options_.node_budget ||
+    if (++nodes_ > node_budget_ ||
         poller_.poll() != SolveStatus::kOk) {
       budget_hit_ = true;  // either way: abandon the whole search
       return false;
@@ -347,6 +348,7 @@ class ExactSearch {
 
   const Instance& instance_;
   ExactIseOptions options_;
+  std::int64_t node_budget_;
   LimitPoller poller_;
   std::vector<Time> grid_;
   std::vector<const Job*> jobs_by_deadline_;
@@ -380,11 +382,7 @@ MMFeasibility bnb_mm_feasibility(const Instance& instance, int machines,
 
 ExactIseResult solve_exact_ise_bnb(const Instance& instance,
                                    const ExactIseOptions& options) {
-  ExactIseOptions effective = options;
-  if (options.limits.node_budget > 0) {
-    effective.node_budget = options.limits.node_budget;
-  }
-  ExactSearch search(instance, effective);
+  ExactSearch search(instance, options);
   return search.run();
 }
 

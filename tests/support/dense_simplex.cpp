@@ -45,7 +45,7 @@ class Tableau {
         return solution;
       }
       // Phase-1 objective = -costs1_ rhs cell.
-      if (-costs1_[rhs_col()] > options_.feasibility_tol) {
+      if (-costs1_[rhs_col()] > kLpFeasibilityTol) {
         solution.status = LpStatus::kInfeasible;
         return solution;
       }
@@ -209,7 +209,7 @@ class Tableau {
                                     bool allow_artificial, bool bland) const {
     const int limit = allow_artificial ? cols_ - 1 : artificial_base_;
     int best = -1;
-    double best_cost = -options_.reduced_cost_tol;
+    double best_cost = -kLpReducedCostTol;
     for (int c = 0; c < limit; ++c) {
       const double reduced = costs[static_cast<std::size_t>(c)];
       if (reduced < best_cost) {
@@ -226,7 +226,7 @@ class Tableau {
     double best_ratio = std::numeric_limits<double>::infinity();
     for (int r = 0; r < rows_; ++r) {
       const double coef = cell(r, entering);
-      if (coef <= options_.pivot_tol) continue;
+      if (coef <= kLpPivotTol) continue;
       const double ratio = cell(r, rhs_col()) / coef;
       if (ratio < best_ratio - 1e-12) {
         best_ratio = ratio;
@@ -270,7 +270,7 @@ class Tableau {
     for (int r = 0; r < rows_; ++r) {
       if (basis_[static_cast<std::size_t>(r)] < artificial_base_) continue;
       int pivot_col = -1;
-      double best = options_.pivot_tol;
+      double best = kLpPivotTol;
       for (int c = 0; c < artificial_base_; ++c) {
         const double magnitude = std::fabs(cell(r, c));
         if (magnitude > best) {

@@ -41,8 +41,8 @@ namespace calisched {
     const RunLimits& limits = RunLimits::none());
 
 /// Branch-and-bound minimum-calibration search with the contract of
-/// solve_exact_ise (`limits.node_budget` overrides `node_budget` when
-/// nonzero). `trace` is unused.
+/// solve_exact_ise (budget `limits.node_budget`, 5M when 0). `trace` is
+/// unused.
 [[nodiscard]] ExactIseResult solve_exact_ise_bnb(
     const Instance& instance, const ExactIseOptions& options = {});
 

@@ -181,7 +181,7 @@ TEST(ExactIse, BudgetExhaustionIsReported) {
     instance.jobs.push_back({j, j * 3, j * 3 + 25, 6});
   }
   ExactIseOptions options;
-  options.node_budget = 50;
+  options.limits.node_budget = 50;
   const ExactIseResult result = solve_exact_ise(instance, options);
   EXPECT_FALSE(result.solved);
 }
@@ -306,7 +306,7 @@ TEST(ExactIse, BudgetOneNeverReportsInfeasible) {
   instance.T = 10;
   instance.jobs = {{0, 0, 20, 4}, {1, 0, 20, 5}};
   ExactIseOptions options;
-  options.node_budget = 1;
+  options.limits.node_budget = 1;
   using ExactIseFn =
       ExactIseResult (*)(const Instance&, const ExactIseOptions&);
   const std::pair<const char*, ExactIseFn> engines[] = {

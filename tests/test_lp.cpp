@@ -312,7 +312,7 @@ TEST(Presolve, DropsEmptyAndDuplicateRows) {
     model.add_coefficient(row, x, 1.0);
     model.add_coefficient(row, y, 1.0);
   }
-  const PresolvedLp presolved = presolve_lp(model, SimplexOptions{});
+  const PresolvedLp presolved = presolve_lp(model);
   EXPECT_FALSE(presolved.summary.infeasible);
   // The empty row and the looser duplicate (rhs 4) both go; the binding
   // copy (rhs 3) survives.
@@ -331,7 +331,7 @@ TEST(Presolve, FixesSingletonEqualityChains) {
   row = model.add_row("sum", RowSense::kEq, 5.0);
   model.add_coefficient(row, x, 1.0);
   model.add_coefficient(row, y, 1.0);
-  const PresolvedLp presolved = presolve_lp(model, SimplexOptions{});
+  const PresolvedLp presolved = presolve_lp(model);
   EXPECT_FALSE(presolved.summary.infeasible);
   EXPECT_EQ(presolved.summary.cols_fixed, 2);
   EXPECT_EQ(presolved.summary.rows_dropped, 2);
@@ -357,7 +357,7 @@ TEST(Presolve, DetectsInfeasibilityFromEmptyAndConflictingRows) {
   model.add_coefficient(row, x, 1.0);
   row = model.add_row("cap", RowSense::kLe, 0.0);
   model.add_coefficient(row, x, 1.0);
-  const PresolvedLp presolved = presolve_lp(model, SimplexOptions{});
+  const PresolvedLp presolved = presolve_lp(model);
   EXPECT_TRUE(presolved.summary.infeasible);
   EXPECT_EQ(solve_lp(model).status, LpStatus::kInfeasible);
 }
@@ -370,7 +370,7 @@ TEST(Presolve, EmptyColumnWithNegativeCostFlagsUnbounded) {
   model.add_variable("y", -1.0);
   const int row = model.add_row("cap", RowSense::kLe, 4.0);
   model.add_coefficient(row, x, 1.0);
-  const PresolvedLp presolved = presolve_lp(model, SimplexOptions{});
+  const PresolvedLp presolved = presolve_lp(model);
   EXPECT_TRUE(presolved.summary.unbounded_if_feasible);
   EXPECT_EQ(solve_lp(model).status, LpStatus::kUnbounded);
 }
@@ -381,7 +381,7 @@ TEST(Presolve, NormalizesNegativeRhs) {
   const int x = model.add_variable("x", 1.0);
   const int row = model.add_row("neg", RowSense::kLe, -3.0);
   model.add_coefficient(row, x, -1.0);
-  const PresolvedLp presolved = presolve_lp(model, SimplexOptions{});
+  const PresolvedLp presolved = presolve_lp(model);
   EXPECT_EQ(presolved.summary.rows_normalized, 1);
   ASSERT_EQ(presolved.model.num_rows(), 1);
   EXPECT_NEAR(presolved.model.rhs(0), 3.0, 1e-12);

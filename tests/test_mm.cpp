@@ -387,8 +387,9 @@ TEST(ExactMM, BudgetFallbackReportsItself) {
   params.horizon = 30;
   params.max_proc = 6;
   const Instance instance = generate_short_window(params);
-  const ExactMM strangled(/*node_budget=*/3);
-  const MMResult result = strangled.minimize(instance);
+  RunLimits strangled;
+  strangled.node_budget = 3;
+  const MMResult result = ExactMM().minimize(instance, strangled);
   ASSERT_TRUE(result.feasible);  // greedy fallback still succeeds
   EXPECT_NE(result.algorithm.find("budget-exceeded"), std::string::npos)
       << result.algorithm;

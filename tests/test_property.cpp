@@ -482,7 +482,7 @@ class ExactRatioSweep : public testing::TestWithParam<WaveCase> {};
 TEST_P(ExactRatioSweep, PaperBoundsHoldAgainstCertifiedOptima) {
   const Instance instance = wave_instance(GetParam());
   ExactIseOptions options;
-  options.node_budget = 20'000'000;
+  options.limits.node_budget = 20'000'000;
   options.max_calibrations = 999;  // trimmed by the greedy upper-bound hint
   const ExactIseResult exact = solve_exact_ise(instance, options);
   ASSERT_TRUE(exact.solved) << "state budget exhausted at n="

@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gen/generators.hpp"
@@ -186,6 +187,36 @@ TEST(AlgorithmRegistry, PreCancelledTokenStopsEveryAlgorithm) {
     const RunResult result = algorithm->run(instance, limits, nullptr);
     EXPECT_EQ(result.status, SolveStatus::kCancelled) << algorithm->name();
     EXPECT_FALSE(result.feasible) << algorithm->name();
+  }
+}
+
+// RunLimits::node_budget is the one route a budget takes into the exact
+// searches: at budget 1 each stops with kLimitExceeded on an instance it
+// solves without one, never "ok" under its own default budget.
+TEST(AlgorithmRegistry, NodeBudgetStopsEveryExactSearch) {
+  Instance two_jobs;
+  two_jobs.machines = 1;
+  two_jobs.T = 10;
+  two_jobs.jobs = {{0, 0, 20, 4}, {1, 0, 20, 5}};
+  Instance unit_jobs;
+  unit_jobs.machines = 1;
+  unit_jobs.T = 4;
+  unit_jobs.jobs = {{0, 0, 3, 1}, {1, 0, 3, 1}, {2, 5, 8, 1}};
+  const std::pair<const char*, const Instance*> cases[] = {
+      {"exact-ise", &two_jobs},
+      {"gap-min", &unit_jobs},
+      {"exact-calib-cost", &two_jobs},
+      {"dp-calib-cost", &two_jobs}};
+  RunLimits budget_one;
+  budget_one.node_budget = 1;
+  for (const auto& [name, instance] : cases) {
+    const Algorithm* algorithm = AlgorithmRegistry::builtin().find(name);
+    ASSERT_NE(algorithm, nullptr) << name;
+    const RunResult solved = algorithm->run(*instance);
+    ASSERT_TRUE(solved.feasible) << name << ": " << solved.error;
+    const RunResult stopped = algorithm->run(*instance, budget_one, nullptr);
+    EXPECT_FALSE(stopped.feasible) << name;
+    EXPECT_EQ(stopped.status, SolveStatus::kLimitExceeded) << name;
   }
 }
 

@@ -1,13 +1,13 @@
 // calisched — command-line front end.
 //
 // Reads an instance (see src/core/instance.hpp for the text format), runs
-// the chosen algorithm, verifies the schedule independently, and prints a
-// summary, an optional ASCII Gantt chart, and optional CSV.
+// the chosen algorithm from the registry (AlgorithmRegistry::builtin(),
+// which re-checks every result with the independent verifier), and prints
+// a summary, an optional ASCII Gantt chart, and optional CSV.
 //
 // Usage:
 //   calisched <instance-file> [--algo=NAME] [--gantt] [--csv] [--quiet]
-//             [--adaptive-mirror] [--prune-empty] [--relaxed] [--mm=NAME]
-//             [--node-budget=N] [--solve-threads=N] [--trace-json=FILE]
+//             [--node-budget=N] [--trace-json=FILE] [--save-schedule=FILE]
 //   calisched --generate=FAMILY --n=N --T=N --machines=N [--seed=N] --out=F
 //   calisched solve-batch [instance-files...] [--algo=NAME] [--threads=N]
 //             [--timeout-ms=N] [--node-budget=N] [--out=FILE] [--no-timing]
@@ -54,28 +54,19 @@
 // derived from --seed and i). Results are deterministic: the output is
 // byte-identical for every --threads value once --no-timing drops the
 // elapsed-time fields. --timeout-ms is a per-instance wall-clock deadline
-// (records report status "deadline-exceeded" when it fires). --algo accepts
-// any registry name (see AlgorithmRegistry::builtin()), including the MM
-// boxes (mm-*), gap-min, exact-ise and bender-lazy, which the single-
-// instance path below does not accept.
-//
-// --solve-threads=N fans the short-window pipeline's per-interval MM solves
-// out over N worker threads (0 = all hardware threads; default 1). The
-// schedule and every counter are byte-identical at any value — results are
-// merged in interval order, never completion order.
+// (records report status "deadline-exceeded" when it fires). --algo takes
+// the same registry names as the single-instance path.
 //
 // --trace-json=FILE writes the solve's full stage trace (per-stage spans,
 // counters, LP/MM telemetry, schedule stats) as JSON; FILE of "-" means
 // stdout.
 //
-// --node-budget=N caps the state count of the exact solvers ("exact" and
-// --mm=exact; exhaustion reports "budget exhausted", never "infeasible");
-// 0 keeps each solver's default.
+// --node-budget=N caps the state count of every exact search (exact-ise,
+// mm-exact, gap-min, exact-calib-cost, dp-calib-cost); exhaustion reports
+// "limit-exceeded", never "infeasible" (mm-exact falls back to greedy
+// instead). 0 keeps each solver's default.
 //
-// MM boxes can be speed-augmented with --mm-speed=S (Theorem 1's s-speed
-// augmentation).
-// Algorithms (--algo) on the single-instance path; an unknown name lists
-// these:
+// Algorithms (--algo), the registry's names; an unknown name lists them:
 //   combined     Theorem 1 solver (default)
 //   long         Theorem 12 long-window pipeline (requires all-long input)
 //   long-speed   Theorem 14 (m machines, speed 36)
@@ -83,92 +74,96 @@
 //   greedy-lazy  non-unit lazy binning heuristic (no guarantee)
 //   per-job      one calibration per job
 //   saturate     always-calibrated grid baseline
-//   bender       lazy binning (unit jobs only)
-//   exact        exact minimum calibrations (tiny instances only)
+//   bender-lazy  lazy binning (unit jobs only)
+//   exact-ise    exact minimum calibrations (tiny instances only)
+//   mm-greedy, mm-exact, mm-unit, mm-lp-rounding
+//                machine-minimization black boxes (machines only)
+//   gap-min      exact busy-block minimization (unit jobs, one machine)
 //   exact-calib-cost   exact minimum cost under a caltype table (tiny)
 //   dp-calib-cost      single-machine cost DP (exact, tiny)
 //   greedy-calib-cost  lazy greedy over the caltype table
-// online-edf runs through `replay`; every other registry name (exact-ise,
-// bender-lazy, gap-min, mm-*) through `solve-batch`.
-// MM boxes (--mm): greedy (default), exact, unit, lp-rounding.
-#include <algorithm>
+//   online-edf   the online heuristic over the instance's arrival trace
+// The MM boxes and gap-min produce no ISE schedule: they print their
+// objective only, and --gantt, --csv and --save-schedule do not apply.
 #include <fstream>
 #include <iostream>
-#include <iterator>
-#include <memory>
+#include <optional>
 
-#include "baselines/baseline.hpp"
-#include "core/schedule_io.hpp"
 #include "baselines/calibration_bounds.hpp"
-#include "baselines/exact_ise.hpp"
-#include "calib/cost_dp.hpp"
-#include "calib/exact_cost.hpp"
-#include "calib/greedy_cost.hpp"
-#include "gen/generators.hpp"
-#include "longwin/long_pipeline.hpp"
-#include "mm/lp_rounding_mm.hpp"
-#include "mm/mm.hpp"
+#include "core/schedule_io.hpp"
 #include "online/online.hpp"
-#include "service/protocol.hpp"
 #include "report/ascii_gantt.hpp"
 #include "report/stats.hpp"
 #include "runtime/batch.hpp"
 #include "service/epoll_server.hpp"
+#include "service/protocol.hpp"
 #include "service/server.hpp"
-#include "shortwin/short_pipeline.hpp"
-#include "solver/ise_solver.hpp"
 #include "trace/trace.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "verify/verify.hpp"
 
 namespace {
 
 using namespace calisched;
 
-int generate_mode(const CliArgs& args) {
-  GenParams params;
-  params.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  params.n = static_cast<int>(args.get_int("n", 12));
-  params.T = args.get_int("T", 10);
-  params.machines = static_cast<int>(args.get_int("machines", 2));
-  params.horizon = args.get_int("horizon", 10 * params.T);
-  params.max_proc = args.get_int("max-proc", params.T);
-  const std::string family = args.get("generate", "mixed");
-  Instance instance;
-  if (family == "mixed") {
-    instance = generate_mixed(params, args.get_double("long-fraction", 0.5));
-  } else if (family == "long") {
-    instance = generate_long_window(params);
-  } else if (family == "short") {
-    instance = generate_short_window(params);
-  } else if (family == "unit") {
-    instance = generate_unit(params, args.get_int("max-window", 2 * params.T - 1));
-  } else if (family == "clustered") {
-    instance = generate_clustered(params,
-                                  static_cast<int>(args.get_int("bursts", 3)),
-                                  args.get_int("burst-span", params.T),
-                                  args.get_bool("long-windows", false));
-  } else if (family == "calib-cheap-short") {
-    instance = generate_calib_cost(params, CalibTableRegime::kCheapShort);
-  } else if (family == "calib-expensive-long") {
-    instance = generate_calib_cost(params, CalibTableRegime::kExpensiveLong);
-  } else if (family == "calib-delayed") {
-    instance = generate_calib_cost(params, CalibTableRegime::kDelayed);
-  } else if (family == "online-poisson") {
-    instance = generate_online_poisson(params, args.get_double("mean-gap", 0.0));
-  } else if (family == "online-burst") {
-    instance = generate_online_burst(
-        params, static_cast<int>(args.get_int("bursts", 4)));
-  } else if (family == "online-drip") {
-    instance = generate_online_drip(params);
-  } else {
-    std::cerr << "unknown family '" << family
-              << "' (mixed|long|short|unit|clustered|calib-cheap-short|"
-                 "calib-expensive-long|calib-delayed|online-poisson|"
-                 "online-burst|online-drip)\n";
-    return 2;
+/// The registry entry named `name`, or null after listing the registered
+/// names on stderr (the single-instance path and solve-batch share this).
+const Algorithm* find_algorithm(const std::string& name) {
+  const AlgorithmRegistry& registry = AlgorithmRegistry::builtin();
+  const Algorithm* algorithm = registry.find(name);
+  if (!algorithm) {
+    std::cerr << "unknown algorithm '" << name << "'; registered:";
+    for (const std::string& known : registry.names()) std::cerr << ' ' << known;
+    std::cerr << '\n';
   }
+  return algorithm;
+}
+
+/// Reads the instance file at `path`; false after saying why on stderr.
+bool read_instance_file(const std::string& path, Instance* instance) {
+  std::ifstream file(path);
+  if (!file) {
+    std::cerr << "cannot read " << path << '\n';
+    return false;
+  }
+  try {
+    *instance = read_instance(file);
+  } catch (const std::exception& error) {
+    std::cerr << path << ": " << error.what() << '\n';
+    return false;
+  }
+  return true;
+}
+
+/// The generator flags --generate and solve-batch share. An unknown family
+/// surfaces later, from generate_family_instance, as a flag error.
+BatchSpec read_generator_flags(const CliArgs& args, const std::string& family) {
+  BatchSpec spec;
+  spec.family = family;
+  spec.params.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  spec.params.n = static_cast<int>(args.get_int("n", 12));
+  spec.params.T = args.get_int("T", 10);
+  spec.params.machines = static_cast<int>(args.get_int("machines", 2));
+  spec.params.horizon = args.get_int("horizon", 10 * spec.params.T);
+  spec.params.max_proc = args.get_int("max-proc", spec.params.T);
+  spec.long_fraction = args.get_double("long-fraction", 0.5);
+  spec.max_window = args.get_int("max-window", 0);
+  spec.bursts = static_cast<int>(args.get_int("bursts", 0));
+  spec.burst_span = args.get_int("burst-span", 0);
+  spec.long_windows = args.get_bool("long-windows", false);
+  return spec;
+}
+
+void warn_unused(const CliArgs& args) {
+  for (const std::string& flag : args.unused()) {
+    std::cerr << "warning: unused flag --" << flag << '\n';
+  }
+}
+
+int generate_mode(const CliArgs& args) {
+  const BatchSpec spec =
+      read_generator_flags(args, args.get("generate", "mixed"));
+  const Instance instance = generate_family_instance(spec, spec.params);
   const std::string out = args.get("out", "");
   if (out.empty()) {
     write_instance(std::cout, instance);
@@ -181,58 +176,27 @@ int generate_mode(const CliArgs& args) {
     write_instance(file, instance);
     std::cout << "wrote " << instance.size() << " jobs to " << out << '\n';
   }
+  warn_unused(args);
   return 0;
 }
 
 int solve_batch_mode(const CliArgs& args) {
   const std::string algo = args.get("algo", "combined");
-  const AlgorithmRegistry& registry = AlgorithmRegistry::builtin();
-  const Algorithm* algorithm = registry.find(algo);
-  if (!algorithm) {
-    std::cerr << "unknown algorithm '" << algo << "'; registered:";
-    for (const std::string& name : registry.names()) std::cerr << ' ' << name;
-    std::cerr << '\n';
-    return 2;
-  }
+  const Algorithm* algorithm = find_algorithm(algo);
+  if (!algorithm) return 2;
 
   std::vector<Instance> instances;
   BatchOptions options;
   const std::vector<std::string>& positional = args.positional();
   if (positional.size() > 1) {
+    instances.resize(positional.size() - 1);
     for (std::size_t i = 1; i < positional.size(); ++i) {
-      std::ifstream file(positional[i]);
-      if (!file) {
-        std::cerr << "cannot read " << positional[i] << '\n';
-        return 2;
-      }
-      try {
-        instances.push_back(read_instance(file));
-      } catch (const std::exception& error) {
-        std::cerr << positional[i] << ": " << error.what() << '\n';
-        return 2;
-      }
+      if (!read_instance_file(positional[i], &instances[i - 1])) return 2;
     }
   } else {
-    BatchSpec spec;
-    spec.family = args.get("family", "mixed");
+    BatchSpec spec = read_generator_flags(args, args.get("family", "mixed"));
     spec.count = static_cast<std::size_t>(args.get_int("count", 32));
-    spec.params.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    spec.params.n = static_cast<int>(args.get_int("n", 12));
-    spec.params.T = args.get_int("T", 10);
-    spec.params.machines = static_cast<int>(args.get_int("machines", 2));
-    spec.params.horizon = args.get_int("horizon", 10 * spec.params.T);
-    spec.params.max_proc = args.get_int("max-proc", spec.params.T);
-    spec.long_fraction = args.get_double("long-fraction", 0.5);
-    spec.max_window = args.get_int("max-window", 0);
-    spec.bursts = static_cast<int>(args.get_int("bursts", 3));
-    spec.burst_span = args.get_int("burst-span", 0);
-    spec.long_windows = args.get_bool("long-windows", false);
-    try {
-      instances = generate_batch(spec, &options.seeds);
-    } catch (const std::exception& error) {
-      std::cerr << error.what() << '\n';
-      return 2;
-    }
+    instances = generate_batch(spec, &options.seeds);
   }
 
   options.threads = static_cast<std::size_t>(args.get_int("threads", 1));
@@ -270,9 +234,7 @@ int solve_batch_mode(const CliArgs& args) {
   std::cerr << "solve-batch: " << algo << " on " << records.size()
             << " instances, " << solved << " solved, " << limited
             << " limit-stopped\n";
-  for (const std::string& flag : args.unused()) {
-    std::cerr << "warning: unused flag --" << flag << '\n';
-  }
+  warn_unused(args);
   return 0;
 }
 
@@ -297,9 +259,7 @@ int serve_mode(const CliArgs& args) {
     std::cerr << "serve needs --stdio or --port=P\n";
     return 2;
   }
-  for (const std::string& flag : args.unused()) {
-    std::cerr << "warning: unused flag --" << flag << '\n';
-  }
+  warn_unused(args);
 
   if (stdio) {
     ServeReport report;
@@ -345,23 +305,11 @@ int replay_mode(const CliArgs& args) {
     std::cerr << "replay needs an instance file\n";
     return 2;
   }
-  std::ifstream file(positional[1]);
-  if (!file) {
-    std::cerr << "cannot read " << positional[1] << '\n';
-    return 2;
-  }
   Instance instance;
-  try {
-    instance = read_instance(file);
-  } catch (const std::exception& error) {
-    std::cerr << positional[1] << ": " << error.what() << '\n';
-    return 2;
-  }
+  if (!read_instance_file(positional[1], &instance)) return 2;
   const std::string algo = args.get("algo", "online-edf");
   const bool want_schedule = args.get_bool("schedule", false);
-  for (const std::string& flag : args.unused()) {
-    std::cerr << "warning: unused flag --" << flag << '\n';
-  }
+  warn_unused(args);
 
   const ArrivalTrace trace = ArrivalTrace::from_instance(instance);
   const OnlineResult result = simulate_trace(algo, trace);
@@ -398,151 +346,113 @@ int replay_mode(const CliArgs& args) {
   return result.feasible ? 0 : 1;
 }
 
-std::shared_ptr<const MachineMinimizer> make_mm(const std::string& name,
-                                                std::int64_t speed,
-                                                std::int64_t node_budget) {
-  std::shared_ptr<const MachineMinimizer> box;
-  if (name == "greedy") box = std::make_shared<GreedyEdfMM>();
-  if (name == "exact") {
-    box = std::make_shared<ExactMM>(node_budget > 0 ? node_budget : 4'000'000);
+int solve_mode(const CliArgs& args) {
+  Instance instance;
+  if (!read_instance_file(args.positional()[0], &instance)) return 2;
+  const std::string algo = args.get("algo", "combined");
+  const Algorithm* algorithm = find_algorithm(algo);
+  if (!algorithm) return 2;
+  RunLimits limits;
+  limits.node_budget = args.get_int("node-budget", 0);
+
+  // A bare --trace-json (parsed as "true") and "-" both mean stdout.
+  const bool want_trace = args.has("trace-json");
+  const std::string trace_path = args.get("trace-json", "");
+  TraceContext trace(algo == "combined" ? "solve_ise" : algo);
+  trace.note("algorithm", algo);
+  TraceSpan solve_span(&trace, "solve");
+  const RunResult result =
+      algorithm->run(instance, limits, want_trace ? &trace : nullptr);
+  solve_span.stop();
+  if (!result.feasible) {
+    std::cerr << result.error << '\n';
+    return 1;
   }
-  if (name == "unit") box = std::make_shared<UnitEdfMM>();
-  if (name == "lp-rounding") box = std::make_shared<LpRoundingMM>();
-  if (box && speed > 1) box = std::make_shared<SpeedupMM>(box, speed);
-  return box;
-}
+  const Schedule& schedule = result.schedule;
+  // The MM boxes and gap-min report an objective, not an ISE schedule.
+  std::optional<ScheduleStats> stats;
+  if (algorithm->capabilities().produces_ise_schedule) {
+    stats = compute_stats(instance, schedule);
+  }
 
-struct RunOutcome {
-  bool feasible = false;
-  Schedule schedule;
-  std::string error;
-  CalibrationPolicy policy = CalibrationPolicy::kStrict;
-  bool tise = false;
-};
-
-/// The --algo names run_algorithm dispatches, in usage order.
-constexpr const char* kCliAlgorithms[] = {
-    "combined", "long", "long-speed", "short", "greedy-lazy", "per-job",
-    "saturate", "bender", "exact", "exact-calib-cost", "dp-calib-cost",
-    "greedy-calib-cost"};
-
-RunOutcome run_algorithm(const Instance& instance, const CliArgs& args,
-                         const std::string& algo, TraceContext* trace) {
-  RunOutcome outcome;
-  if (std::find(std::begin(kCliAlgorithms), std::end(kCliAlgorithms), algo) ==
-      std::end(kCliAlgorithms)) {
-    outcome.error = "unknown algorithm '" + algo + "'; accepted:";
-    for (const char* name : kCliAlgorithms) {
-      outcome.error += ' ';
-      outcome.error += name;
+  if (want_trace) {
+    if (stats) record_stats(*stats, &trace);
+    if (trace_path.empty() || trace_path == "-" || trace_path == "true") {
+      std::cout << trace.json() << '\n';
+    } else {
+      std::ofstream trace_file(trace_path);
+      if (!trace_file) {
+        std::cerr << "cannot open " << trace_path << " for writing\n";
+        return 2;
+      }
+      trace_file << trace.json() << '\n';
     }
-    outcome.error +=
-        " (online-edf runs through replay, other registry names through "
-        "solve-batch)";
-    return outcome;
   }
-  // Same gate the registry applies: algorithms that predate the
-  // calibration-cost model only understand the unit model.
-  const bool model_aware = algo == "exact-calib-cost" ||
-                           algo == "dp-calib-cost" ||
-                           algo == "greedy-calib-cost";
-  if (!model_aware && !instance.is_unit_model()) {
-    outcome.error = "requires the unit calibration model "
-                    "(instance has a caltype table)";
-    return outcome;
+  if (!args.get_bool("quiet", false)) {
+    std::cout << "algorithm        : " << algo << '\n'
+              << "jobs             : " << instance.size() << '\n';
+    if (!stats) {
+      if (result.calibrations > 0) {
+        std::cout << "calibrations     : " << result.calibrations << '\n';
+      }
+      std::cout << "machines         : " << result.machines << '\n';
+    } else {
+      std::cout << "calibrations     : " << stats->calibrations;
+      if (instance.is_unit_model()) {
+        // The load/coloring bound assumes unit-length calibrations; it is
+        // meaningless (and possibly above the optimum) under a type table.
+        std::cout << "  (lower bound " << calibration_lower_bound(instance)
+                  << ")\n";
+      } else {
+        std::cout << '\n'
+                  << "total cost       : " << schedule.total_cost() << '\n';
+      }
+      std::cout << "machines used    : " << stats->machines_used << '\n'
+                << "speed            : " << schedule.speed << '\n'
+                << "utilization      : "
+                << format_double(stats->utilization, 3) << '\n';
+    }
+    std::cout << "verified         : ok\n";
   }
-  LongWindowOptions long_options;
-  long_options.trace = trace;
-  long_options.adaptive_mirror = args.get_bool("adaptive-mirror", false);
-  long_options.prune_empty_calibrations = args.get_bool("prune-empty", false);
-  IntervalOptions short_options;
-  short_options.trace = trace;
-  short_options.relaxed_calibrations = args.get_bool("relaxed", false);
-  short_options.trim_unused_calibrations = args.get_bool("prune-empty", false);
-  short_options.threads =
-      static_cast<int>(args.get_int("solve-threads", 1));
-  if (short_options.relaxed_calibrations) {
-    outcome.policy = CalibrationPolicy::kOverlapAllowed;
+  if (!stats) {  // nothing to draw, save or tabulate
+    warn_unused(args);
+    return 0;
   }
-  const std::int64_t node_budget = args.get_int("node-budget", 0);
-  const auto mm = make_mm(args.get("mm", "greedy"), args.get_int("mm-speed", 1),
-                          node_budget);
-  if (!mm) {
-    outcome.error = "unknown MM box (greedy|exact|unit|lp-rounding)";
-    return outcome;
+  if (args.get_bool("gantt", false)) {
+    std::cout << '\n' << render_schedule(instance, schedule);
   }
-
-  if (algo == "combined") {
-    IseSolverOptions options;
-    options.long_window = long_options;
-    options.short_window = short_options;
-    options.mm = mm;
-    options.trace = trace;
-    IseSolveResult result = solve_ise(instance, options);
-    outcome.feasible = result.feasible;
-    outcome.schedule = std::move(result.schedule);
-    outcome.error = std::move(result.error);
-  } else if (algo == "long" || algo == "long-speed") {
-    LongWindowResult result = algo == "long"
-                                  ? solve_long_window(instance, long_options)
-                                  : solve_long_window_speed(instance, long_options);
-    outcome.feasible = result.feasible;
-    outcome.schedule = std::move(result.schedule);
-    outcome.error = std::move(result.error);
-    outcome.tise = algo == "long";
-  } else if (algo == "short") {
-    ShortWindowResult result = solve_short_window(instance, *mm, short_options);
-    outcome.feasible = result.feasible;
-    outcome.schedule = std::move(result.schedule);
-    outcome.error = std::move(result.error);
-  } else if (algo == "greedy-lazy") {
-    BaselineResult result = GreedyLazyIse().solve(instance);
-    outcome.feasible = result.feasible;
-    outcome.schedule = std::move(result.schedule);
-    outcome.error = std::move(result.error);
-  } else if (algo == "per-job") {
-    BaselineResult result = PerJobCalibration().solve(instance);
-    outcome.feasible = result.feasible;
-    outcome.schedule = std::move(result.schedule);
-    outcome.error = std::move(result.error);
-  } else if (algo == "saturate") {
-    BaselineResult result = SaturateCalibration().solve(instance);
-    outcome.feasible = result.feasible;
-    outcome.schedule = std::move(result.schedule);
-    outcome.error = std::move(result.error);
-  } else if (algo == "bender") {
-    BaselineResult result = BenderUnitLazyBinning().solve(instance);
-    outcome.feasible = result.feasible;
-    outcome.schedule = std::move(result.schedule);
-    outcome.error = std::move(result.error);
-  } else if (algo == "exact") {
-    ExactIseOptions options;
-    if (node_budget > 0) options.node_budget = node_budget;
-    options.trace = trace;
-    const ExactIseResult result = solve_exact_ise(instance, options);
-    outcome.feasible = result.solved && result.feasible;
-    outcome.schedule = result.schedule;
-    if (!result.solved) outcome.error = "search budget exhausted";
-    else if (!result.feasible) outcome.error = "instance infeasible";
-  } else if (algo == "exact-calib-cost") {
-    const CalibCostResult result = solve_exact_calib_cost(instance);
-    outcome.feasible = result.solved && result.feasible;
-    outcome.schedule = result.schedule;
-    if (!result.solved) outcome.error = "search budget exhausted";
-    else if (!result.feasible) outcome.error = "instance infeasible";
-  } else if (algo == "dp-calib-cost") {
-    const CostDpResult result = solve_cost_dp(instance);
-    outcome.feasible = result.solved && result.feasible;
-    outcome.schedule = result.schedule;
-    if (!result.solved) outcome.error = "DP budget exhausted";
-    else if (!result.feasible) outcome.error = "instance infeasible";
-  } else if (algo == "greedy-calib-cost") {
-    GreedyCostResult result = solve_greedy_cost(instance);
-    outcome.feasible = result.feasible;
-    outcome.schedule = std::move(result.schedule);
-    outcome.error = std::move(result.error);
+  const std::string save_path = args.get("save-schedule", "");
+  if (!save_path.empty()) {
+    std::ofstream out(save_path);
+    if (!out) {
+      std::cerr << "cannot open " << save_path << " for writing\n";
+      return 2;
+    }
+    write_schedule(out, schedule);
+    std::cout << "schedule saved to " << save_path << '\n';
   }
-  return outcome;
+  if (args.get_bool("csv", false)) {
+    Table csv({"kind", "machine", "start", "length"});
+    for (const Calibration& cal : schedule.calibrations) {
+      csv.row()
+          .cell("calibration")
+          .cell(std::int64_t{cal.machine})
+          .cell(cal.start)
+          .cell(schedule.available_end_ticks(cal) -
+                schedule.available_start_ticks(cal));
+    }
+    for (const ScheduledJob& sj : schedule.jobs) {
+      csv.row()
+          .cell("job" + std::to_string(sj.job))
+          .cell(std::int64_t{sj.machine})
+          .cell(sj.start)
+          .cell(schedule.job_duration_ticks(instance.job_by_id(sj.job).proc));
+    }
+    std::cout << '\n';
+    csv.print_csv(std::cout);
+  }
+  warn_unused(args);
+  return 0;
 }
 
 int run_cli(int argc, char** argv) {
@@ -568,120 +478,15 @@ int run_cli(int argc, char** argv) {
                  "[--algo=online-edf] [--schedule]\n";
     return 2;
   }
-  std::ifstream file(args.positional()[0]);
-  if (!file) {
-    std::cerr << "cannot read " << args.positional()[0] << '\n';
-    return 2;
-  }
-  Instance instance;
-  try {
-    instance = read_instance(file);
-  } catch (const std::exception& error) {
-    std::cerr << error.what() << '\n';
-    return 2;
-  }
-
-  const std::string algo = args.get("algo", "combined");
-  // A bare --trace-json (parsed as "true") and "-" both mean stdout.
-  const bool want_trace = args.has("trace-json");
-  const std::string trace_path = args.get("trace-json", "");
-  TraceContext trace(algo == "combined" ? "solve_ise" : algo);
-  trace.note("algorithm", algo);
-  TraceSpan solve_span(&trace, "solve");
-  const RunOutcome outcome =
-      run_algorithm(instance, args, algo, want_trace ? &trace : nullptr);
-  solve_span.stop();
-  if (!outcome.feasible) {
-    std::cerr << algo << ": " << outcome.error << '\n';
-    return 1;
-  }
-  const VerifyResult check =
-      verify_ise(instance, outcome.schedule, outcome.tise, outcome.policy);
-  if (!check.ok()) {
-    std::cerr << "INTERNAL ERROR: schedule failed verification\n"
-              << check.to_string();
-    return 1;
-  }
-
-  const ScheduleStats stats = compute_stats(instance, outcome.schedule);
-  if (want_trace) {
-    record_stats(stats, &trace);
-    if (trace_path.empty() || trace_path == "-" || trace_path == "true") {
-      std::cout << trace.json() << '\n';
-    } else {
-      std::ofstream trace_file(trace_path);
-      if (!trace_file) {
-        std::cerr << "cannot open " << trace_path << " for writing\n";
-        return 2;
-      }
-      trace_file << trace.json() << '\n';
-    }
-  }
-  if (!args.get_bool("quiet", false)) {
-    std::cout << "algorithm        : " << algo << '\n'
-              << "jobs             : " << instance.size() << '\n'
-              << "calibrations     : " << stats.calibrations;
-    if (instance.is_unit_model()) {
-      // The load/coloring bound assumes unit-length calibrations; it is
-      // meaningless (and possibly above the optimum) under a type table.
-      std::cout << "  (lower bound " << calibration_lower_bound(instance)
-                << ")\n";
-    } else {
-      std::cout << '\n'
-                << "total cost       : " << outcome.schedule.total_cost()
-                << '\n';
-    }
-    std::cout << "machines used    : " << stats.machines_used << '\n'
-              << "speed            : " << outcome.schedule.speed << '\n'
-              << "utilization      : " << format_double(stats.utilization, 3)
-              << '\n'
-              << "verified         : ok\n";
-  }
-  if (args.get_bool("gantt", false)) {
-    std::cout << '\n' << render_schedule(instance, outcome.schedule);
-  }
-  const std::string save_path = args.get("save-schedule", "");
-  if (!save_path.empty()) {
-    std::ofstream out(save_path);
-    if (!out) {
-      std::cerr << "cannot open " << save_path << " for writing\n";
-      return 2;
-    }
-    write_schedule(out, outcome.schedule);
-    std::cout << "schedule saved to " << save_path << '\n';
-  }
-  if (args.get_bool("csv", false)) {
-    Table csv({"kind", "machine", "start", "length"});
-    for (const Calibration& cal : outcome.schedule.calibrations) {
-      csv.row()
-          .cell("calibration")
-          .cell(std::int64_t{cal.machine})
-          .cell(cal.start)
-          .cell(outcome.schedule.available_end_ticks(cal) -
-                outcome.schedule.available_start_ticks(cal));
-    }
-    for (const ScheduledJob& sj : outcome.schedule.jobs) {
-      csv.row()
-          .cell("job" + std::to_string(sj.job))
-          .cell(std::int64_t{sj.machine})
-          .cell(sj.start)
-          .cell(outcome.schedule.job_duration_ticks(
-              instance.job_by_id(sj.job).proc));
-    }
-    std::cout << '\n';
-    csv.print_csv(std::cout);
-  }
-  for (const std::string& flag : args.unused()) {
-    std::cerr << "warning: unused flag --" << flag << '\n';
-  }
-  return 0;
+  return solve_mode(args);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Flag errors (malformed values, bare '--') are user errors, not crashes:
-  // CliArgs accessors throw std::invalid_argument naming the flag and value.
+  // Flag errors (malformed values, bare '--', an unknown generator family)
+  // are user errors, not crashes: CliArgs accessors and
+  // generate_family_instance throw std::invalid_argument naming the value.
   try {
     return run_cli(argc, argv);
   } catch (const std::invalid_argument& error) {

@@ -3,7 +3,7 @@
 //
 // For each CalibTableRegime (cheap-short, expensive-long, delayed) this
 // sweeps small single-machine instances, solves each with the lazy greedy
-// (greedy-calib-cost) and the subset DP (dp-calib-cost), and reports the
+// (greedy-lazy) and the subset DP (dp-calib-cost), and reports the
 // cost ratio on instances both solved. A second differential sweep checks
 // the DP against the independent branch-and-bound oracle
 // (exact-calib-cost) on every instance both complete: the two exact
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(bench.args().get_int("count", 12));
 
   const AlgorithmRegistry& registry = AlgorithmRegistry::builtin();
-  const Algorithm* greedy = registry.find("greedy-calib-cost");
+  const Algorithm* greedy = registry.find("greedy-lazy");
   const Algorithm* dp = registry.find("dp-calib-cost");
 
   Table& quality = bench.table(
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
         .cell(ratio_max, 3);
     bench.metric(std::string("max_ratio_") + regime.name, ratio_max);
   }
-  bench.print_table("quality", "greedy-calib-cost vs dp-calib-cost (cost)");
+  bench.print_table("quality", "greedy-lazy vs dp-calib-cost (cost)");
 
   // --- DP vs oracle differential: exact solvers must agree exactly -------
   const std::size_t diff_count =

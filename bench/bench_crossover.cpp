@@ -12,6 +12,7 @@
 // averaged over 3 instances per point).
 #include "baselines/baseline.hpp"
 #include "baselines/calibration_bounds.hpp"
+#include "calib/greedy_cost.hpp"
 #include "gen/generators.hpp"
 #include "harness.hpp"
 #include "solver/ise_solver.hpp"
@@ -70,7 +71,7 @@ PolicyCounts run_policies(const Instance& instance) {
   if (saturate.feasible) {
     counts.saturate = saturate.schedule.num_calibrations();
   }
-  const BaselineResult lazy = GreedyLazyIse().solve(instance);
+  const GreedyCostResult lazy = solve_greedy_cost(instance);
   counts.lazy_ok = lazy.feasible && verify_ise(instance, lazy.schedule).ok();
   if (counts.lazy_ok) counts.lazy = lazy.schedule.num_calibrations();
   return counts;

@@ -14,6 +14,7 @@
 
 #include "baselines/baseline.hpp"
 #include "baselines/calibration_bounds.hpp"
+#include "calib/greedy_cost.hpp"
 #include "baselines/ise_lp_bound.hpp"
 #include "gen/generators.hpp"
 #include "harness.hpp"
@@ -81,7 +82,7 @@ int main(int argc, char** argv) {
     const BaselineResult saturate = SaturateCalibration().solve(instance);
     row.saturate_ok = saturate.feasible;
     if (saturate.feasible) row.saturate = saturate.schedule.num_calibrations();
-    const BaselineResult lazy = GreedyLazyIse().solve(instance);
+    const GreedyCostResult lazy = solve_greedy_cost(instance);
     row.lazy_ok = lazy.feasible && verify_ise(instance, lazy.schedule).ok();
     if (row.lazy_ok) row.lazy = lazy.schedule.num_calibrations();
   });

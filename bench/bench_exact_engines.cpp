@@ -28,11 +28,11 @@
 
 #include "baselines/exact_ise.hpp"
 #include "core/instance.hpp"
-#include "exact/search_stats.hpp"
 #include "harness.hpp"
 #include "mm/lower_bounds.hpp"
 #include "mm/mm.hpp"
 #include "oracles.hpp"
+#include "trace/trace.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
       "mm", {"n", "engine", "certified", "machines", "nodes", "ms"});
   int mm_max_state = 0;
   int mm_max_bnb = 0;
-  ExactSearchCounters mm_counters;
+  TraceContext mm_trace;  // the state-space searches' work counts
   RunLimits budget;
   budget.node_budget = kBudget;
   for (const bool is_state : {true, false}) {
@@ -106,16 +106,11 @@ int main(int argc, char** argv) {
     for (const int k : {1, 2, 4, 8, 16}) {
       const Instance instance = wave_instance(k, 6, 12, 6, 4, 1'000'000, 1);
       const int n = 6 * k;
-      exact_search_reset();
       const auto start = std::chrono::steady_clock::now();
-      const MMResult result =
-          is_state ? mm.minimize(instance, budget) : bnb_minimize(instance);
+      const MMResult result = is_state ? mm.minimize(instance, budget, &mm_trace)
+                                       : bnb_minimize(instance);
       const double ms = elapsed_ms(start);
       const bool certified = result.feasible && result.algorithm == name;
-      if (is_state) {
-        const ExactSearchCounters delta = exact_search_snapshot();
-        mm_counters = mm_counters + delta;
-      }
       mm_table.row()
           .cell(static_cast<std::int64_t>(n))
           .cell(name)
@@ -140,7 +135,7 @@ int main(int argc, char** argv) {
   int ise_max_state = 0;
   int ise_max_bnb = 0;
   std::vector<std::int64_t> state_optima;  // indexed by ladder step
-  ExactSearchCounters ise_counters;
+  TraceContext ise_trace;
   for (const bool is_state : {true, false}) {
     std::size_t step = 0;
     for (const int k : {5, 10, 25, 50}) {
@@ -149,17 +144,13 @@ int main(int argc, char** argv) {
       ExactIseOptions options;
       options.limits.node_budget = kBudget;
       options.max_calibrations = 999;
-      exact_search_reset();
+      if (is_state) options.trace = &ise_trace;
       const auto start = std::chrono::steady_clock::now();
       const ExactIseResult result = is_state
                                         ? solve_exact_ise(instance, options)
                                         : solve_exact_ise_bnb(instance, options);
       const double ms = elapsed_ms(start);
       const bool certified = result.solved && result.feasible;
-      if (is_state) {
-        const ExactSearchCounters delta = exact_search_snapshot();
-        ise_counters = ise_counters + delta;
-      }
       ise_table.row()
           .cell(static_cast<std::int64_t>(n))
           .cell(is_state ? "state-space" : "bnb")
@@ -191,22 +182,18 @@ int main(int argc, char** argv) {
   bench.metric("mm_max_certified_n_bnb", mm_max_bnb);
   bench.metric("ise_max_certified_n_state", ise_max_state);
   bench.metric("ise_max_certified_n_bnb", ise_max_bnb);
-  bench.metric("mm_states_created",
-               static_cast<double>(mm_counters.states_created));
-  bench.metric("mm_states_merged",
-               static_cast<double>(mm_counters.states_merged));
-  bench.metric("mm_states_dominated",
-               static_cast<double>(mm_counters.states_dominated));
-  bench.metric("mm_states_pruned",
-               static_cast<double>(mm_counters.states_pruned));
-  bench.metric("ise_states_created",
-               static_cast<double>(ise_counters.states_created));
-  bench.metric("ise_states_merged",
-               static_cast<double>(ise_counters.states_merged));
-  bench.metric("ise_states_dominated",
-               static_cast<double>(ise_counters.states_dominated));
-  bench.metric("ise_states_pruned",
-               static_cast<double>(ise_counters.states_pruned));
+  const std::pair<const char*, const char*> counters[] = {
+      {"created", "state_space.states"},
+      {"merged", "state_space.merged"},
+      {"dominated", "state_space.dominated"},
+      {"pruned", "state_space.pruned"}};
+  for (const auto& [engine, trace] :
+       {std::pair{"mm", &mm_trace}, std::pair{"ise", &ise_trace}}) {
+    for (const auto& [metric, counter] : counters) {
+      bench.metric(std::string(engine) + "_states_" + metric,
+                   static_cast<double>(trace->counter(counter)));
+    }
+  }
 
   bench.check("optima_agree_where_both_certify", optima_agree);
   bench.check("all_schedules_verified", all_verified);

@@ -15,7 +15,7 @@
 #include <limits>
 #include <string>
 
-#include "baselines/baseline.hpp"
+#include "calib/greedy_cost.hpp"
 #include "gen/generators.hpp"
 #include "harness.hpp"
 #include "longwin/long_pipeline.hpp"
@@ -216,10 +216,9 @@ int main(int argc, char** argv) {
     params.machines = 8;             // roomy enough that the heuristic
     params.horizon = 40 * params.T;  // actually completes its schedule
     const Instance instance = generate_mixed(params, 0.5);
-    const GreedyLazyIse heuristic;
     bool feasible = false;
     const Timing timing = measure([&] {
-      const BaselineResult result = heuristic.solve(instance);
+      const GreedyCostResult result = solve_greedy_cost(instance);
       feasible = result.feasible;
       g_sink = result.feasible ? 1.0 : 0.0;
     });

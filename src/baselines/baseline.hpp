@@ -76,19 +76,4 @@ class BenderUnitLazyBinning final : public IseBaseline {
   [[nodiscard]] std::string name() const override { return "bender-lazy"; }
 };
 
-/// Lazy greedy for *non-unit* jobs — our practical generalization of lazy
-/// binning, with no approximation guarantee (the paper's open problem is
-/// exactly that such greedies were only analyzed for p_j = 1):
-/// process jobs most-urgent-first; reuse the earliest feasible gap inside
-/// an already-open calibration; otherwise open a new calibration as late
-/// as the urgent work due by d_j allows. Fails honestly when its greedy
-/// choices paint it into a corner on the given machine count.
-class GreedyLazyIse final : public IseBaseline {
- public:
-  using IseBaseline::solve;
-  [[nodiscard]] BaselineResult solve(const Instance& instance,
-                                     const RunLimits& limits) const override;
-  [[nodiscard]] std::string name() const override { return "greedy-lazy"; }
-};
-
 }  // namespace calisched

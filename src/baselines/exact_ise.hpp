@@ -14,42 +14,13 @@
 // pushes certified optima well past branch-and-bound sizes.
 #pragma once
 
-#include <cstdint>
-
-#include "core/schedule.hpp"
-#include "runtime/limits.hpp"
-#include "runtime/status.hpp"
+#include "exact/state_space.hpp"
 
 namespace calisched {
 
-class TraceContext;
-
-struct ExactIseOptions {
-  /// Hard cap on the calibration count the search will try.
-  int max_calibrations = 16;
-  /// Restrict job placement to calibrations nested in the job's window
-  /// (exact *TISE* optimum instead of exact ISE optimum).
-  bool require_tise = false;
-  /// Deadline + cancellation, polled inside the search loops, and the
-  /// state budget (`limits.node_budget`, 5M when 0).
-  RunLimits limits;
-  /// Optional trace sink; the search emits a span per layer.
-  TraceContext* trace = nullptr;
-};
-
-struct ExactIseResult {
-  /// True when the search ran to completion (budget not exhausted).
-  bool solved = false;
-  /// True when a feasible schedule with <= max_calibrations exists.
-  bool feasible = false;
-  /// kOk (optimum found), kInfeasible (exhausted the calibration cap),
-  /// kLimitExceeded (node budget), kDeadlineExceeded / kCancelled.
-  SolveStatus status = SolveStatus::kOk;
-  std::size_t optimal_calibrations = 0;
-  Schedule schedule;  ///< an optimal schedule when feasible
-  std::int64_t nodes = 0;
-};
-
+/// state_space_ise_minimize, with the calibration cap tightened by the
+/// lazy greedy's count when it finds an independently verified ISE
+/// schedule (never for TISE: the greedy's schedule is ISE-only).
 [[nodiscard]] ExactIseResult solve_exact_ise(const Instance& instance,
                                              const ExactIseOptions& options = {});
 

@@ -1,4 +1,5 @@
-// solve_greedy_cost — lazy binning generalized to calibration-type tables.
+// solve_greedy_cost — lazy binning generalized to non-unit jobs and
+// calibration-type tables.
 // See the header comment for the policy.
 #include "calib/greedy_cost.hpp"
 
@@ -159,7 +160,7 @@ GreedyCostResult solve_greedy_cost(const Instance& instance,
       return fail_result(result, SolveStatus::kInfeasible,
                          "no machine can open a calibration for job " +
                              std::to_string(job.id),
-                         "greedy-calib-cost");
+                         "greedy-lazy");
     }
     const CalibrationType& type =
         model.types[static_cast<std::size_t>(chosen_type)];

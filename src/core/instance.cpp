@@ -36,12 +36,44 @@ Time Instance::total_work() const noexcept {
   return total;
 }
 
+namespace {
+
+std::string time_range() {
+  return "[-" + std::to_string(kMaxTime) + ", " + std::to_string(kMaxTime) +
+         "]";
+}
+
+}  // namespace
+
+std::optional<std::string> machine_count_error(std::int64_t machines) {
+  if (machines < 1) return "machines must be >= 1";
+  if (machines > kMaxMachines) {
+    return "machines must be <= " + std::to_string(kMaxMachines);
+  }
+  return std::nullopt;
+}
+
 std::optional<std::string> Instance::validate() const {
-  if (machines < 1) return "machine count must be >= 1";
+  if (auto error = machine_count_error(machines)) return error;
+  if (T < -kMaxTime || T > kMaxTime) {
+    return "calibration length T must lie in " + time_range();
+  }
   if (cal.empty()) {
     if (T < 2) return "calibration length T must be >= 2";
   } else {
     if (auto error = cal.validate()) return *error;
+    for (std::size_t k = 0; k < cal.size(); ++k) {
+      const CalibrationType& type = cal.types[k];
+      if (type.length > kMaxTime || type.activation_delay > kMaxTime) {
+        return "calibration type " + std::to_string(k) +
+               ": length and activation delay must be <= " +
+               std::to_string(kMaxTime);
+      }
+      if (type.cost > kMaxCost) {
+        return "calibration type " + std::to_string(k) +
+               ": cost must be <= " + std::to_string(kMaxCost);
+      }
+    }
     // A table that *is* the classic model must agree with T, so the unit
     // algorithms and the explicit one-type table see the same instance.
     if (cal.size() == 1 && cal.types.front().cost == 1 &&
@@ -52,34 +84,49 @@ std::optional<std::string> Instance::validate() const {
              " disagrees with T " + std::to_string(T);
     }
   }
+  if (jobs.size() > kMaxJobs) {
+    return "job count must be <= " + std::to_string(kMaxJobs);
+  }
+  return validate_jobs(jobs);
+}
+
+std::optional<std::string> Instance::validate_jobs(
+    const std::vector<Job>& batch) const {
   // Duplicate ids are found on a sorted copy, so no allocation grows with
   // the largest id. Only when one exists is the first job (in job order)
   // reusing an earlier id located, so errors still come out in job order.
   std::vector<JobId> ids;
-  ids.reserve(jobs.size());
-  for (const Job& job : jobs) ids.push_back(job.id);
+  ids.reserve(batch.size());
+  for (const Job& job : batch) ids.push_back(job.id);
   std::sort(ids.begin(), ids.end());
-  std::size_t first_repeat = jobs.size();
+  std::size_t first_repeat = batch.size();
   if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
     std::unordered_set<JobId> earlier;
     first_repeat = 0;
-    while (earlier.insert(jobs[first_repeat].id).second) ++first_repeat;
+    while (earlier.insert(batch[first_repeat].id).second) ++first_repeat;
   }
   const Time max_len = max_calibration_length();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const Job& job = jobs[i];
+  const auto out_of_range = [](Time t) { return t < -kMaxTime || t > kMaxTime; };
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Job& job = batch[i];
     if (job.id < 0) return "job id must be non-negative";
     if (i == first_repeat) return "duplicate job id " + std::to_string(job.id);
-    if (job.proc < 1) {
-      return "job " + std::to_string(job.id) + ": processing time must be >= 1";
+    const auto job_error = [&](const std::string& what) {
+      return "job " + std::to_string(job.id) + ": " + what;
+    };
+    if (out_of_range(job.release) || out_of_range(job.deadline)) {
+      return job_error("release and deadline must lie in " + time_range());
     }
+    if (job.proc < 1) return job_error("processing time must be >= 1");
     if (job.proc > max_len) {
-      return "job " + std::to_string(job.id) +
-             (cal.empty() ? ": p_j must be <= T"
-                          : ": p_j must fit the longest calibration type");
+      return job_error(cal.empty()
+                           ? "processing time must be <= the calibration "
+                             "length T"
+                           : "processing time must fit the longest "
+                             "calibration type");
     }
     if (job.deadline < job.release + job.proc) {
-      return "job " + std::to_string(job.id) + ": window too small for p_j";
+      return job_error("window too small for p_j");
     }
   }
   return std::nullopt;

@@ -1,6 +1,8 @@
 // ISE problem instance: jobs + machine count + calibration model.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -10,6 +12,30 @@
 #include "core/job.hpp"
 
 namespace calisched {
+
+// Admission bounds. Instance::validate() rejects anything outside them,
+// and every front end admits instances through it (NDJSON solve and
+// subscribe/arrive, instance files, batch), so every quantity the solvers
+// derive fits its integer type:
+//   * machines: the long-window pipeline allots 18m machines (its rounding
+//     9m) as `int`, and 18 * 2^20 < 2^25.
+//   * jobs: the Lemma-3 grid points r + k*T (k <= n) stay below
+//     2^40 + 2^20 * 2^40 < 2^61, and n calibrations of cost <= kMaxCost
+//     sum to at most 2^60.
+//   * times (|r|, |d|, and p, T, every type length and activation delay):
+//     d - r, 2T, 4T and a type's span stay below 2^42, and times scaled
+//     by the long-window speed 36 (Lemma 13's time denominator) below
+//     2^46.
+//   * cost per calibration type: see jobs.
+inline constexpr std::int64_t kMaxMachines = std::int64_t{1} << 20;
+inline constexpr std::size_t kMaxJobs = std::size_t{1} << 20;
+inline constexpr Time kMaxTime = Time{1} << 40;
+inline constexpr std::int64_t kMaxCost = std::int64_t{1} << 40;
+
+/// The machine-count rule of Instance::validate(), for readers that must
+/// check a wider integer before narrowing it to `int`.
+[[nodiscard]] std::optional<std::string> machine_count_error(
+    std::int64_t machines);
 
 /// A complete ISE instance (Bender et al. / Fineman-Sheridan formulation):
 /// `machines` identical machines, calibration length `T >= 2`, and jobs with
@@ -57,9 +83,17 @@ struct Instance {
   /// Total processing time of all jobs.
   [[nodiscard]] Time total_work() const noexcept;
 
-  /// Checks the structural invariants of the problem statement; returns an
-  /// error description, or nullopt if the instance is well-formed.
+  /// Checks the structural invariants of the problem statement and the
+  /// admission bounds above; returns an error description, or nullopt if
+  /// the instance is well-formed.
   [[nodiscard]] std::optional<std::string> validate() const;
+
+  /// The per-job half of validate(), for `batch` under this instance's T
+  /// and table (`jobs` is ignored): ids, time bounds, processing times,
+  /// windows, and duplicate ids within `batch`. The first error in job
+  /// order wins.
+  [[nodiscard]] std::optional<std::string> validate_jobs(
+      const std::vector<Job>& batch) const;
 
   /// Finds a job by id; precondition: the id exists.
   [[nodiscard]] const Job& job_by_id(JobId id) const;

@@ -28,40 +28,6 @@
 
 namespace calisched {
 
-/// Scheduled-job set: a fixed-width bitset with an FNV-1a style hash used
-/// as the state lookup key. Word count is decided once per search.
-class JobSet {
- public:
-  JobSet() = default;
-  explicit JobSet(std::size_t jobs)
-      : words_((jobs + 63) / 64, 0) {}
-
-  void set(std::size_t index) noexcept {
-    words_[index >> 6] |= std::uint64_t{1} << (index & 63);
-  }
-  [[nodiscard]] bool test(std::size_t index) const noexcept {
-    return (words_[index >> 6] >> (index & 63)) & 1;
-  }
-
-  [[nodiscard]] std::uint64_t hash() const noexcept {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const std::uint64_t word : words_) {
-      h ^= word;
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
-
-  [[nodiscard]] const std::vector<std::uint64_t>& words() const noexcept {
-    return words_;
-  }
-
-  friend bool operator==(const JobSet&, const JobSet&) = default;
-
- private:
-  std::vector<std::uint64_t> words_;
-};
-
 /// One machine's frontier in the calibration (ISE) state space: the open
 /// calibration is usable until `end` (availability end = start + T) and
 /// the machine is busy inside it until `free`. A machine with no usable

@@ -1,6 +1,6 @@
 // Layered state-space exploration for the exact solvers.
 //
-// Both explorers grow a directed acyclic graph of hash-consed schedule
+// One engine grows a directed acyclic graph of hash-consed schedule
 // states (schedule_state.hpp) layer by layer: layer L holds one state per
 // *distinct* summary of "some L jobs scheduled". Each expansion places one
 // more unscheduled job in every position a left-shifted schedule could put
@@ -9,29 +9,31 @@
 // discard states that are uniformly no better. The DFS this replaces
 // revisits every placement *order*; the state graph visits every placement
 // *set*, which is what pushes certified optima from tens of jobs into the
-// hundreds.
+// hundreds. Two move sets drive it: machine frontiers for MM feasibility
+// and calibration slots for minimum-calibration ISE / TISE.
 //
-// Completeness rests on the left-shifting argument of exact_ise.hpp (the
-// DFS oracles in tests/support/branch_bound.cpp rely on it too): any
-// feasible schedule can be left-shifted to integer event times and
-// replayed in nondecreasing start order, and in that order every job lands
-// either on a machine frontier (MM) or in its machine's most recent
-// calibration / a fresh calibration at an integer start (ISE).
-// The explorer enumerates exactly those moves, so some optimal schedule
-// always survives as a path; dominance only discards states whose every
-// completion another retained state can match (schedule_state.cpp).
+// Completeness rests on the left-shifting argument below (the DFS oracles
+// in tests/support/branch_bound.cpp rely on it too): any feasible schedule
+// can be left-shifted to integer event times and replayed in nondecreasing
+// start order, and in that order every job lands either on a machine
+// frontier (MM) or in its machine's most recent calibration / a fresh
+// calibration at an integer start (ISE). The move sets enumerate exactly
+// those moves, so some optimal schedule always survives as a path;
+// dominance only discards states whose every completion another retained
+// state can match (schedule_state.cpp).
 //
-// Budgets: `state_budget` caps candidate states built (the analogue of
+// Budgets: the state budget caps candidate states built (the analogue of
 // branch-and-bound nodes). Exhaustion — like a RunLimits stop — returns
 // the matching non-kOk status and never masquerades as an infeasibility
-// verdict. Work counters flush into exact_search_snapshot() per search,
-// and a trace span named "layer" is recorded per exploration layer.
+// verdict. Each search adds its work counts to the trace it was given —
+// state_space.searches, .states (candidate states built, the budget unit),
+// .merged, .dominated, .pruned, .expanded and .layers — and records a span
+// named "layer" per exploration layer.
 #pragma once
 
 #include <cstdint>
 
 #include "core/schedule.hpp"
-#include "exact/search_stats.hpp"
 #include "runtime/limits.hpp"
 #include "runtime/status.hpp"
 #include "verify/verify.hpp"
@@ -40,48 +42,61 @@ namespace calisched {
 
 class TraceContext;
 
-/// Machine-minimization feasibility on exactly `machines` machines.
-struct StateSpaceMmResult {
-  /// kOk: the search ran to completion and `feasible` is a definitive
-  /// verdict. kLimitExceeded / kDeadlineExceeded / kCancelled: stopped
-  /// early, `feasible` is meaningless.
-  SolveStatus status = SolveStatus::kOk;
-  bool feasible = false;
-  MMSchedule schedule;        ///< valid when status == kOk && feasible
-  std::int64_t states = 0;    ///< candidate states built
+/// Outcome of a single fixed-machine-count feasibility search. A stopped
+/// search (node budget, deadline, cancellation) is distinguishable from a
+/// proven-infeasible one: `feasible` is a verdict only when `status == kOk`.
+struct MMFeasibility {
+  SolveStatus status = SolveStatus::kOk;  ///< kOk = search ran to completion
+  bool feasible = false;                  ///< meaningful only when kOk
+  MMSchedule schedule;                    ///< valid when kOk && feasible
+  std::int64_t nodes = 0;                 ///< candidate states built
 };
 
-[[nodiscard]] StateSpaceMmResult state_space_mm_feasible(
-    const Instance& instance, int machines, std::int64_t state_budget,
+/// Nonpreemptive feasibility of `instance` on exactly `machines` machines;
+/// the search ExactMM runs per machine count, which also packs the cost
+/// solvers' calibrations. Budget exhaustion reports kLimitExceeded, never
+/// a feasibility verdict.
+[[nodiscard]] MMFeasibility exact_mm_feasibility(
+    const Instance& instance, int machines,
+    std::int64_t node_budget = 4'000'000,
     const RunLimits& limits = RunLimits::none(),
     TraceContext* trace = nullptr);
 
-/// Minimum-calibration (ISE / TISE) search over the same engine.
-struct StateSpaceIseOptions {
-  std::int64_t state_budget = 5'000'000;
-  /// Hard cap on the calibration count, mirroring ExactIseOptions.
+/// Exact minimum-calibration search over integer calibration starts (see
+/// baselines/exact_ise.hpp for the completeness argument).
+struct ExactIseOptions {
+  /// Hard cap on the calibration count the search will try.
   int max_calibrations = 16;
-  /// Restrict placements to calibrations nested in the job window (TISE).
+  /// Restrict job placement to calibrations nested in the job's window
+  /// (exact *TISE* optimum instead of exact ISE optimum).
   bool require_tise = false;
-  /// A calibration count known achievable (a verified heuristic solution);
-  /// 0 means none. Tightens the pruning cap to min(max_calibrations, hint)
-  /// — sound only if a schedule with `hint` calibrations really exists.
-  int upper_bound_hint = 0;
+  /// Deadline + cancellation, polled inside the search loops, and the
+  /// state budget (`limits.node_budget`, 5M when 0).
   RunLimits limits;
+  /// Optional trace sink for the layer spans and state_space.* counters.
   TraceContext* trace = nullptr;
 };
 
-struct StateSpaceIseResult {
-  /// kOk: definitive (`feasible` + `calibrations` are the exact answer,
-  /// "infeasible" meaning no schedule within max_calibrations exists).
-  SolveStatus status = SolveStatus::kOk;
+struct ExactIseResult {
+  /// True when the search ran to completion (budget not exhausted).
+  bool solved = false;
+  /// True when a feasible schedule with <= max_calibrations exists.
   bool feasible = false;
-  std::size_t calibrations = 0;
-  Schedule schedule;          ///< an optimal schedule when feasible
-  std::int64_t states = 0;    ///< candidate states built
+  /// kOk (optimum found), kInfeasible (exhausted the calibration cap),
+  /// kLimitExceeded (node budget), kDeadlineExceeded / kCancelled.
+  SolveStatus status = SolveStatus::kOk;
+  std::size_t optimal_calibrations = 0;
+  Schedule schedule;  ///< an optimal schedule when feasible
+  std::int64_t nodes = 0;  ///< candidate states built
 };
 
-[[nodiscard]] StateSpaceIseResult state_space_ise_minimize(
-    const Instance& instance, const StateSpaceIseOptions& options = {});
+/// The layered minimum-calibration search behind solve_exact_ise.
+/// `upper_bound_hint` is a calibration count known achievable (a verified
+/// schedule), 0 for none; it tightens the pruning cap to
+/// min(max_calibrations, hint), which is sound only if such a schedule
+/// really exists.
+[[nodiscard]] ExactIseResult state_space_ise_minimize(
+    const Instance& instance, const ExactIseOptions& options,
+    int upper_bound_hint = 0);
 
 }  // namespace calisched

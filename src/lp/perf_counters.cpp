@@ -42,19 +42,6 @@ LpPerfCounters lp_perf_snapshot() noexcept {
   return s;
 }
 
-void lp_perf_reset() noexcept {
-  Registry& r = registry();
-  r.solves.store(0, std::memory_order_relaxed);
-  r.pivots.store(0, std::memory_order_relaxed);
-  r.etas_applied.store(0, std::memory_order_relaxed);
-  r.eta_entries.store(0, std::memory_order_relaxed);
-  r.pricing_columns.store(0, std::memory_order_relaxed);
-  r.pricing_entries.store(0, std::memory_order_relaxed);
-  r.refactorizations.store(0, std::memory_order_relaxed);
-  r.workspace_reuses.store(0, std::memory_order_relaxed);
-  r.buffer_growths.store(0, std::memory_order_relaxed);
-}
-
 void lp_perf_accumulate(const LpPerfCounters& delta) noexcept {
   Registry& r = registry();
   r.solves.fetch_add(delta.solves, std::memory_order_relaxed);

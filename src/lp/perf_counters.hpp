@@ -59,10 +59,6 @@ struct LpPerfCounters {
 /// Current cumulative totals since process start (or the last reset).
 [[nodiscard]] LpPerfCounters lp_perf_snapshot() noexcept;
 
-/// Zeroes the totals. Benches/tests only; racing a reset against live
-/// solves yields torn deltas, so quiesce first.
-void lp_perf_reset() noexcept;
-
 /// Engine-side flush: adds `delta` to the process totals (one relaxed
 /// atomic add per field). Not for external callers.
 void lp_perf_accumulate(const LpPerfCounters& delta) noexcept;

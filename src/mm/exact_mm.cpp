@@ -1,34 +1,15 @@
-// Exact machine minimization over the layered state-space engine
-// (src/exact/state_space.cpp): feasibility at a fixed machine count, and
-// ExactMM's search over increasing machine counts.
+// ExactMM: exact machine minimization as a search over increasing machine
+// counts, each a feasibility search of the layered state-space engine
+// (src/exact/state_space.cpp).
 #include <utility>
 
-#include "exact/state_space.hpp"
 #include "mm/lower_bounds.hpp"
 #include "mm/mm.hpp"
 
 namespace calisched {
 
-MMFeasibility exact_mm_feasibility(const Instance& instance, int machines,
-                                   std::int64_t node_budget,
-                                   const RunLimits& limits) {
-  MMFeasibility result;
-  if (instance.empty()) {
-    result.feasible = true;
-    result.schedule.machines = machines;
-    return result;
-  }
-  StateSpaceMmResult found =
-      state_space_mm_feasible(instance, machines, node_budget, limits);
-  result.status = found.status;
-  result.feasible = found.feasible;
-  result.schedule = std::move(found.schedule);
-  result.nodes = found.states;
-  return result;
-}
-
-MMResult ExactMM::minimize(const Instance& instance,
-                           const RunLimits& limits) const {
+MMResult ExactMM::solve(const Instance& instance, const RunLimits& limits,
+                        TraceContext* trace) const {
   MMResult result;
   result.algorithm = name();
   if (instance.empty()) {
@@ -39,7 +20,8 @@ MMResult ExactMM::minimize(const Instance& instance,
   const std::int64_t budget = limits.node_budget_or(4'000'000);
   const int n = static_cast<int>(instance.size());
   for (int m = mm_lower_bound(instance); m <= n; ++m) {
-    MMFeasibility search = exact_mm_feasibility(instance, m, budget, limits);
+    MMFeasibility search =
+        exact_mm_feasibility(instance, m, budget, limits, trace);
     result.search_nodes += search.nodes;
     if (search.status == SolveStatus::kLimitExceeded) {
       // Node/state budget: give up on exactness; report the greedy

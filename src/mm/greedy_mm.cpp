@@ -58,8 +58,8 @@ std::optional<MMSchedule> try_edf(const Instance& instance, int machines) {
 
 }  // namespace
 
-MMResult GreedyEdfMM::minimize(const Instance& instance,
-                               const RunLimits& limits) const {
+MMResult GreedyEdfMM::solve(const Instance& instance, const RunLimits& limits,
+                            TraceContext* /*trace*/) const {
   MMResult result;
   result.algorithm = name();
   if (instance.empty()) {

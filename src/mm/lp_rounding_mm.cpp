@@ -110,20 +110,8 @@ std::optional<double> mm_start_time_lp_bound(const Instance& instance,
   return solution.objective;
 }
 
-MMResult LpRoundingMM::minimize(const Instance& instance,
-                                const RunLimits& limits) const {
-  return minimize_impl(instance, limits, nullptr);
-}
-
-MMResult LpRoundingMM::minimize_traced(const Instance& instance,
-                                       const RunLimits& limits,
-                                       TraceContext* trace) const {
-  return minimize_impl(instance, limits, trace);
-}
-
-MMResult LpRoundingMM::minimize_impl(const Instance& instance,
-                                     const RunLimits& limits,
-                                     TraceContext* trace) const {
+MMResult LpRoundingMM::solve(const Instance& instance, const RunLimits& limits,
+                             TraceContext* trace) const {
   MMResult result;
   result.algorithm = name();
   if (instance.empty()) {
@@ -136,8 +124,7 @@ MMResult LpRoundingMM::minimize_impl(const Instance& instance,
   if (built) {
     SimplexOptions lp_options;
     lp_options.limits = limits;
-    // A caller trace (the telemetry overload) gets the LP telemetry as an
-    // "lp" child.
+    // A caller trace gets the LP telemetry as an "lp" child.
     if (trace != nullptr) lp_options.trace = &trace->child("lp");
     LpSolution solved = solve_lp(built->model, lp_options);
     if (solved.status == LpStatus::kDeadlineExceeded ||

@@ -49,23 +49,16 @@ class LpRoundingMM final : public MachineMinimizer {
 
   LpRoundingMM() : options_() {}
   explicit LpRoundingMM(Options options) : options_(options) {}
-  using MachineMinimizer::minimize;
-  [[nodiscard]] MMResult minimize(const Instance& instance,
-                                  const RunLimits& limits) const override;
   [[nodiscard]] std::string name() const override { return "lp-rounding"; }
 
  protected:
-  /// Threads the caller's trace into the start-time LP solve (as an "lp"
-  /// child context), next to the per-call limits.
-  [[nodiscard]] MMResult minimize_traced(const Instance& instance,
-                                         const RunLimits& limits,
-                                         TraceContext* trace) const override;
+  /// Threads `trace` into the start-time LP solve (as an "lp" child
+  /// context), next to the per-call limits.
+  [[nodiscard]] MMResult solve(const Instance& instance,
+                               const RunLimits& limits,
+                               TraceContext* trace) const override;
 
  private:
-  [[nodiscard]] MMResult minimize_impl(const Instance& instance,
-                                       const RunLimits& limits,
-                                       TraceContext* trace) const;
-
   Options options_;
 };
 

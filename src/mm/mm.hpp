@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 
+#include "exact/state_space.hpp"
 #include "runtime/limits.hpp"
 #include "runtime/status.hpp"
 #include "verify/verify.hpp"
@@ -42,40 +43,20 @@ struct MMResult {
 class MachineMinimizer {
  public:
   virtual ~MachineMinimizer() = default;
-  [[nodiscard]] virtual MMResult minimize(const Instance& instance,
-                                          const RunLimits& limits) const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Unlimited run (legacy signature; forwards RunLimits::none()).
-  [[nodiscard]] MMResult minimize(const Instance& instance) const {
-    return minimize(instance, RunLimits::none());
-  }
-
-  /// minimize() plus telemetry: records an "mm" span and the invocation /
-  /// machines-returned / search-node counters into `trace` (no-op when
-  /// null). Every pipeline call site goes through this overload.
+  /// Runs the box. With a non-null `trace`, records an "mm" span and the
+  /// invocation / machines-returned / search-node counters there, and the
+  /// box hands the same trace to its sub-solvers (the start-time LP, the
+  /// exact searches).
   [[nodiscard]] MMResult minimize(const Instance& instance,
-                                  const RunLimits& limits,
-                                  TraceContext* trace) const;
-  [[nodiscard]] MMResult minimize(const Instance& instance,
-                                  TraceContext* trace) const {
-    return minimize(instance, RunLimits::none(), trace);
-  }
+                                  const RunLimits& limits = RunLimits::none(),
+                                  TraceContext* trace = nullptr) const;
 
  protected:
-  /// Dispatch hook for the telemetry overload above. Boxes whose solve
-  /// runs a sub-solver that itself accepts a TraceContext (the LP-rounding
-  /// box) override this to thread `trace` into the sub-solver's options;
-  /// the default forwards to the 2-arg overload unchanged. Without this
-  /// hook the telemetry overload silently dropped the caller's trace
-  /// before a box could attach it — the same options-dropping class as
-  /// constructing a fresh SimplexOptions over a caller-supplied one.
-  [[nodiscard]] virtual MMResult minimize_traced(const Instance& instance,
-                                                 const RunLimits& limits,
-                                                 TraceContext* trace) const {
-    (void)trace;
-    return minimize(instance, limits);
-  }
+  [[nodiscard]] virtual MMResult solve(const Instance& instance,
+                                       const RunLimits& limits,
+                                       TraceContext* trace) const = 0;
 };
 
 /// First-fit EDF list scheduling, trying m = lower_bound(I), ..., n.
@@ -83,10 +64,12 @@ class MachineMinimizer {
 /// short-window analysis charges against.
 class GreedyEdfMM final : public MachineMinimizer {
  public:
-  using MachineMinimizer::minimize;
-  [[nodiscard]] MMResult minimize(const Instance& instance,
-                                  const RunLimits& limits) const override;
   [[nodiscard]] std::string name() const override { return "greedy-edf"; }
+
+ protected:
+  [[nodiscard]] MMResult solve(const Instance& instance,
+                               const RunLimits& limits,
+                               TraceContext* trace) const override;
 };
 
 /// Exact MM over left-shifted schedules with a state budget, searched by
@@ -96,10 +79,12 @@ class GreedyEdfMM final : public MachineMinimizer {
 /// machine count tried.
 class ExactMM final : public MachineMinimizer {
  public:
-  using MachineMinimizer::minimize;
-  [[nodiscard]] MMResult minimize(const Instance& instance,
-                                  const RunLimits& limits) const override;
   [[nodiscard]] std::string name() const override { return "exact-state"; }
+
+ protected:
+  [[nodiscard]] MMResult solve(const Instance& instance,
+                               const RunLimits& limits,
+                               TraceContext* trace) const override;
 };
 
 /// Exact MM for unit processing times (p_j = 1 for all j): timestep-by-
@@ -107,10 +92,12 @@ class ExactMM final : public MachineMinimizer {
 /// Requires a unit-job instance (asserts otherwise).
 class UnitEdfMM final : public MachineMinimizer {
  public:
-  using MachineMinimizer::minimize;
-  [[nodiscard]] MMResult minimize(const Instance& instance,
-                                  const RunLimits& limits) const override;
   [[nodiscard]] std::string name() const override { return "unit-edf"; }
+
+ protected:
+  [[nodiscard]] MMResult solve(const Instance& instance,
+                               const RunLimits& limits,
+                               TraceContext* trace) const override;
 };
 
 /// s-speed resource augmentation as a wrapper (the "s-speed
@@ -123,35 +110,20 @@ class SpeedupMM final : public MachineMinimizer {
  public:
   SpeedupMM(std::shared_ptr<const MachineMinimizer> inner, std::int64_t speed)
       : inner_(std::move(inner)), speed_(speed) {}
-  using MachineMinimizer::minimize;
-  [[nodiscard]] MMResult minimize(const Instance& instance,
-                                  const RunLimits& limits) const override;
   [[nodiscard]] std::string name() const override {
     return "speed" + std::to_string(speed_) + "x(" + inner_->name() + ")";
   }
+
+ protected:
+  /// Runs the inner box without `trace`, so one minimize() call records
+  /// one invocation.
+  [[nodiscard]] MMResult solve(const Instance& instance,
+                               const RunLimits& limits,
+                               TraceContext* trace) const override;
 
  private:
   std::shared_ptr<const MachineMinimizer> inner_;
   std::int64_t speed_;
 };
-
-/// Outcome of a single fixed-machine-count feasibility search. Unlike the
-/// old optional-returning interface, a stopped search (node budget,
-/// deadline, cancellation) is distinguishable from a proven-infeasible one:
-/// `feasible` is a verdict only when `status == kOk`.
-struct MMFeasibility {
-  SolveStatus status = SolveStatus::kOk;  ///< kOk = search ran to completion
-  bool feasible = false;                  ///< meaningful only when kOk
-  MMSchedule schedule;                    ///< valid when kOk && feasible
-  std::int64_t nodes = 0;                 ///< nodes / states explored
-};
-
-/// Nonpreemptive feasibility of `instance` on exactly `machines` machines,
-/// via the state-space search ExactMM uses. Budget exhaustion reports
-/// kLimitExceeded, never a feasibility verdict.
-[[nodiscard]] MMFeasibility exact_mm_feasibility(
-    const Instance& instance, int machines,
-    std::int64_t node_budget = 4'000'000,
-    const RunLimits& limits = RunLimits::none());
 
 }  // namespace calisched

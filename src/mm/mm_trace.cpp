@@ -7,7 +7,7 @@ MMResult MachineMinimizer::minimize(const Instance& instance,
                                     const RunLimits& limits,
                                     TraceContext* trace) const {
   TraceSpan span(trace, "mm");
-  MMResult result = minimize_traced(instance, limits, trace);
+  MMResult result = solve(instance, limits, trace);
   span.stop();
   if (trace) {
     trace->add("mm.invocations");

@@ -4,8 +4,8 @@
 
 namespace calisched {
 
-MMResult SpeedupMM::minimize(const Instance& instance,
-                             const RunLimits& limits) const {
+MMResult SpeedupMM::solve(const Instance& instance, const RunLimits& limits,
+                          TraceContext* /*trace*/) const {
   assert(speed_ >= 1);
   // Equivalent reformulation of "machines speed_ times faster": stretch the
   // timeline by speed_ and keep processing times. A job of p time units on

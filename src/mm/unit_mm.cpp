@@ -55,8 +55,8 @@ std::optional<MMSchedule> try_unit_edf(const Instance& instance, int machines) {
 
 }  // namespace
 
-MMResult UnitEdfMM::minimize(const Instance& instance,
-                             const RunLimits& limits) const {
+MMResult UnitEdfMM::solve(const Instance& instance, const RunLimits& limits,
+                          TraceContext* /*trace*/) const {
   MMResult result;
   result.algorithm = name();
   if (instance.empty()) {

@@ -61,19 +61,19 @@ OnlineSimulation::OnlineSimulation(std::unique_ptr<OnlineScheduler> scheduler,
   schedule_.cal = std::move(cal);
   schedule_.time_denominator = 1;
   schedule_.speed = 1;
-  if (machines < 1) {
-    fail("simulation requires at least one machine");
-    return;
-  }
-  if (T < 1) {
-    fail("simulation requires T >= 1");
-    return;
-  }
-  if (const auto bad = schedule_.cal.validate()) {
-    fail("bad calibration table: " + *bad);
+  if (const auto invalid = park().validate()) {
+    fail(*invalid);
     return;
   }
   scheduler_->begin(machines, T, schedule_.cal);
+}
+
+Instance OnlineSimulation::park() const {
+  Instance park;
+  park.machines = schedule_.machines;
+  park.T = schedule_.T;
+  park.cal = schedule_.cal;
+  return park;
 }
 
 bool OnlineSimulation::fail(const std::string& message) {
@@ -164,31 +164,19 @@ bool OnlineSimulation::arrive(Time time, const std::vector<Job>& jobs,
     return report(fail("time regression: arrival at " + std::to_string(time) +
                        " after clock reached " + std::to_string(now_)));
   }
-  const Time max_length = schedule_.cal.empty()
-                              ? schedule_.T
-                              : schedule_.cal.max_length();
+  if (time > kMaxTime) {
+    return report(fail("arrival time must be <= " + std::to_string(kMaxTime)));
+  }
+  if (jobs_.size() + jobs.size() > kMaxJobs) {
+    return report(fail("job count must be <= " + std::to_string(kMaxJobs)));
+  }
+  // The admission rules of a solve's instance, plus ids already arrived.
+  if (const auto invalid = park().validate_jobs(jobs)) {
+    return report(fail(*invalid));
+  }
   for (const Job& job : jobs) {
-    if (job.proc < 1) {
-      return report(fail("job " + std::to_string(job.id) +
-                         ": processing time must be >= 1"));
-    }
-    if (job.deadline < job.release + job.proc) {
-      return report(fail("job " + std::to_string(job.id) +
-                         ": window shorter than processing time"));
-    }
-    if (job.proc > max_length) {
-      return report(fail("job " + std::to_string(job.id) +
-                         ": processing time exceeds every calibration length"));
-    }
     if (index_of_.count(job.id) != 0) {
       return report(fail("duplicate job id " + std::to_string(job.id)));
-    }
-  }
-  for (std::size_t a = 0; a < jobs.size(); ++a) {
-    for (std::size_t b = a + 1; b < jobs.size(); ++b) {
-      if (jobs[a].id == jobs[b].id) {
-        return report(fail("duplicate job id " + std::to_string(jobs[a].id)));
-      }
     }
   }
   ScheduleDelta combined;

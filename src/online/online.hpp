@@ -147,7 +147,6 @@ class OnlineSimulation {
   [[nodiscard]] bool failed() const noexcept { return !error_.empty(); }
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
   [[nodiscard]] const Schedule& committed() const noexcept { return schedule_; }
-  [[nodiscard]] std::size_t arrived_jobs() const noexcept { return jobs_.size(); }
 
  private:
   /// Fires alarms due strictly before `time`; accumulates into `delta`.
@@ -155,6 +154,9 @@ class OnlineSimulation {
   /// Validates and commits one decision made at time `at`.
   bool apply(Time at, OnlineDecision decision, ScheduleDelta& delta);
   bool fail(const std::string& message);
+  /// The machines, T and table as a job-free instance, for the admission
+  /// rules Instance::validate() applies to a solve.
+  [[nodiscard]] Instance park() const;
 
   std::unique_ptr<OnlineScheduler> scheduler_;
   Schedule schedule_;

@@ -348,11 +348,12 @@ class CostDpAlgorithm final : public AdapterBase {
   }
 };
 
-/// Lazy EDF greedy over the type table (cheapest hosting type, lazy start).
-class GreedyCalibCostAlgorithm final : public AdapterBase {
+/// Lazy EDF greedy (lazy binning for non-unit jobs) over the type table:
+/// cheapest hosting type, lazy start.
+class GreedyLazyAlgorithm final : public AdapterBase {
  public:
-  GreedyCalibCostAlgorithm()
-      : AdapterBase("greedy-calib-cost",
+  GreedyLazyAlgorithm()
+      : AdapterBase("greedy-lazy",
                     AlgorithmCapabilities{.supports_calibration_model = true}) {}
 
  protected:
@@ -435,8 +436,7 @@ const AlgorithmRegistry& AlgorithmRegistry::builtin() {
     built.add(std::make_shared<LongAlgorithm>(/*speed=*/false));
     built.add(std::make_shared<LongAlgorithm>(/*speed=*/true));
     built.add(std::make_shared<ShortAlgorithm>());
-    built.add(std::make_shared<BaselineAlgorithm>(
-        std::make_shared<GreedyLazyIse>(), AlgorithmCapabilities{}));
+    built.add(std::make_shared<GreedyLazyAlgorithm>());
     built.add(std::make_shared<BaselineAlgorithm>(
         std::make_shared<PerJobCalibration>(), AlgorithmCapabilities{}));
     built.add(std::make_shared<BaselineAlgorithm>(
@@ -458,7 +458,6 @@ const AlgorithmRegistry& AlgorithmRegistry::builtin() {
     built.add(std::make_shared<GapMinAlgorithm>());
     built.add(std::make_shared<ExactCalibCostAlgorithm>());
     built.add(std::make_shared<CostDpAlgorithm>());
-    built.add(std::make_shared<GreedyCalibCostAlgorithm>());
     built.add(std::make_shared<OnlineEdfAlgorithm>());
     return built;
   }();

@@ -126,8 +126,8 @@ class AlgorithmRegistry {
   ///   greedy-lazy, per-job, saturate, bender-lazy, exact-ise (baselines)
   ///   mm-greedy, mm-exact, mm-unit, mm-lp-rounding          (MM boxes)
   ///   gap-min                                   (related problem, Sec. 5)
-  ///   exact-calib-cost, dp-calib-cost, greedy-calib-cost (cost model,
-  ///                                              Angel et al. 2015)
+  ///   exact-calib-cost, dp-calib-cost  (cost model, Angel et al. 2015;
+  ///                       greedy-lazy accepts type tables too)
   ///   online-edf                  (arrival-stream heuristic, simulator-run)
   [[nodiscard]] static const AlgorithmRegistry& builtin();
 

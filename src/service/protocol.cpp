@@ -78,32 +78,46 @@ bool parse_caltypes(const JsonValue& value, CalibrationModel* out,
   return true;
 }
 
+/// Reads the machines, T and caltypes fields of `object` into `out`. The
+/// machine count is range-checked before it is narrowed to `int`; the
+/// other bounds are Instance::validate()'s.
+bool parse_park(const JsonValue& object, Instance* out, std::string* error) {
+  std::int64_t machines = 0;
+  if (!read_int(object, "machines", &machines, error)) return false;
+  if (!read_int(object, "T", &out->T, error)) return false;
+  if (const auto invalid = machine_count_error(machines)) {
+    *error = "invalid instance: " + *invalid;
+    return false;
+  }
+  out->machines = static_cast<int>(machines);
+  out->cal.types.clear();
+  if (const JsonValue* caltypes = object.find("caltypes")) {
+    if (!parse_caltypes(*caltypes, &out->cal, error)) return false;
+  }
+  return true;
+}
+
+bool validate_instance(const Instance& instance, std::string* error) {
+  if (const auto invalid = instance.validate()) {
+    *error = "invalid instance: " + *invalid;
+    return false;
+  }
+  return true;
+}
+
 bool parse_instance(const JsonValue& value, Instance* out, std::string* error) {
   if (!value.is_object()) {
     *error = "field 'instance' must be an object";
     return false;
   }
-  std::int64_t machines = 0;
-  std::int64_t T = 0;
-  if (!read_int(value, "machines", &machines, error)) return false;
-  if (!read_int(value, "T", &T, error)) return false;
-  out->machines = static_cast<int>(machines);
-  out->T = T;
+  if (!parse_park(value, out, error)) return false;
   const JsonValue* jobs = value.find("jobs");
   if (jobs == nullptr) {
     *error = "field 'instance.jobs' must be an array";
     return false;
   }
-  if (!parse_jobs(*jobs, &out->jobs, error)) return false;
-  out->cal.types.clear();
-  if (const JsonValue* caltypes = value.find("caltypes")) {
-    if (!parse_caltypes(*caltypes, &out->cal, error)) return false;
-  }
-  if (const auto invalid = out->validate()) {
-    *error = "invalid instance: " + *invalid;
-    return false;
-  }
-  return true;
+  return parse_jobs(*jobs, &out->jobs, error) &&
+         validate_instance(*out, error);
 }
 
 }  // namespace
@@ -189,28 +203,10 @@ ParsedRequest parse_request(std::string_view line) {
       }
       request.algorithm = algo->as_string();
     }
-    std::int64_t machines = 0;
-    std::int64_t T = 0;
-    if (!read_int(document, "machines", &machines, &parsed.error)) return parsed;
-    if (!read_int(document, "T", &T, &parsed.error)) return parsed;
-    if (machines < 1) {
-      parsed.error = "field 'machines' must be >= 1";
-      return parsed;
-    }
-    if (T < 1) {
-      parsed.error = "field 'T' must be >= 1";
-      return parsed;
-    }
-    request.instance.machines = static_cast<int>(machines);
-    request.instance.T = T;
-    request.instance.cal.types.clear();
-    if (const JsonValue* caltypes = document.find("caltypes")) {
-      if (!parse_caltypes(*caltypes, &request.instance.cal, &parsed.error)) {
-        return parsed;
-      }
-    }
-    if (const auto invalid = request.instance.cal.validate()) {
-      parsed.error = "invalid caltypes: " + *invalid;
+    // The session's park and table: a job-free instance, admitted by the
+    // same check as a solve's.
+    if (!parse_park(document, &request.instance, &parsed.error) ||
+        !validate_instance(request.instance, &parsed.error)) {
       return parsed;
     }
   } else if (name == "arrive") {

@@ -48,9 +48,6 @@ class ShardedLruCache {
   }
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
-  }
 
   /// Which shard a canonical hash lands in (top-bit prefix, modulo the
   /// shard count so any count works, not only powers of two). Exposed so

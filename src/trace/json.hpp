@@ -44,7 +44,6 @@ class JsonValue {
   [[nodiscard]] bool is_bool() const { return std::holds_alternative<bool>(value_); }
   [[nodiscard]] bool is_int() const { return std::holds_alternative<std::int64_t>(value_); }
   [[nodiscard]] bool is_double() const { return std::holds_alternative<double>(value_); }
-  [[nodiscard]] bool is_number() const { return is_int() || is_double(); }
   [[nodiscard]] bool is_string() const { return std::holds_alternative<std::string>(value_); }
   [[nodiscard]] bool is_array() const { return std::holds_alternative<Array>(value_); }
   [[nodiscard]] bool is_object() const { return std::holds_alternative<Object>(value_); }

@@ -1,7 +1,6 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace calisched {
 namespace {
@@ -197,55 +196,6 @@ JsonValue TraceContext::to_json() const {
 
 std::string TraceContext::json(int indent) const {
   return to_json().dump(indent);
-}
-
-std::unique_ptr<TraceContext> TraceContext::from_json(const JsonValue& value) {
-  if (!value.is_object()) {
-    throw std::runtime_error("trace json: expected an object");
-  }
-  const JsonValue* name = value.find("name");
-  if (!name || !name->is_string()) {
-    throw std::runtime_error("trace json: missing string 'name'");
-  }
-  auto context = std::make_unique<TraceContext>(name->as_string());
-  if (const JsonValue* counters = value.find("counters")) {
-    for (const auto& [key, entry] : counters->as_object()) {
-      context->set(key, entry.as_int());
-    }
-  }
-  if (const JsonValue* values = value.find("values")) {
-    for (const auto& [key, entry] : values->as_object()) {
-      context->set_value(key, entry.as_double());
-    }
-  }
-  if (const JsonValue* notes = value.find("notes")) {
-    for (const auto& [key, entries] : notes->as_object()) {
-      for (const JsonValue& entry : entries.as_array()) {
-        context->note(key, entry.as_string());
-      }
-    }
-  }
-  if (const JsonValue* spans = value.find("spans")) {
-    for (const auto& [key, stat] : spans->as_object()) {
-      const JsonValue* ns = stat.find("ns");
-      const JsonValue* count = stat.find("count");
-      if (!ns || !count) {
-        throw std::runtime_error("trace json: span without ns/count");
-      }
-      SpanStat span{key, ns->as_int(), count->as_int()};
-      context->spans_.push_back(std::move(span));
-    }
-  }
-  if (const JsonValue* children = value.find("children")) {
-    for (const JsonValue& entry : children->as_array()) {
-      context->children_.push_back(from_json(entry));
-    }
-  }
-  return context;
-}
-
-std::unique_ptr<TraceContext> TraceContext::parse(std::string_view json_text) {
-  return from_json(JsonValue::parse(json_text));
 }
 
 }  // namespace calisched

@@ -96,9 +96,6 @@ class TraceContext {
   // --- serialization ---------------------------------------------------------
   [[nodiscard]] JsonValue to_json() const;
   [[nodiscard]] std::string json(int indent = 2) const;
-  /// Inverse of to_json (throws std::runtime_error on schema mismatch).
-  [[nodiscard]] static std::unique_ptr<TraceContext> from_json(const JsonValue& value);
-  [[nodiscard]] static std::unique_ptr<TraceContext> parse(std::string_view json_text);
 
  private:
   struct SpanStat {
@@ -156,17 +153,6 @@ inline void trace_add(TraceContext* context, std::string_view counter,
 inline void trace_set(TraceContext* context, std::string_view counter,
                       std::int64_t value) {
   if (context) context->set(counter, value);
-}
-inline void trace_set_value(TraceContext* context, std::string_view name,
-                            double value) {
-  if (context) context->set_value(name, value);
-}
-inline void trace_note(TraceContext* context, std::string_view key,
-                       std::string_view value) {
-  if (context) context->note(key, value);
-}
-inline TraceContext* trace_child(TraceContext* context, std::string_view name) {
-  return context ? &context->child(name) : nullptr;
 }
 
 }  // namespace calisched

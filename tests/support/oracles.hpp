@@ -6,7 +6,7 @@
 // against it:
 //
 //   solve_lp_dense       vs solve_lp              (lp/simplex.hpp)
-//   bnb_mm_feasibility   vs exact_mm_feasibility  (mm/mm.hpp)
+//   bnb_mm_feasibility   vs exact_mm_feasibility  (exact/state_space.hpp)
 //   solve_exact_ise_bnb  vs solve_exact_ise       (baselines/exact_ise.hpp)
 //   typed_tise_calibration_points vs tise_calibration_points (unit models)
 //

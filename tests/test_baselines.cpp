@@ -8,6 +8,7 @@
 #include "baselines/exact_ise.hpp"
 #include "baselines/gap_min.hpp"
 #include "baselines/ise_lp_bound.hpp"
+#include "calib/greedy_cost.hpp"
 #include "gen/generators.hpp"
 #include "verify/verify.hpp"
 
@@ -243,7 +244,7 @@ TEST(GapMin, SlotsRespectWindows) {
   }
 }
 
-TEST(GreedyLazyIse, FeasibleAndVerifiedAcrossFamilies) {
+TEST(GreedyLazy, FeasibleAndVerifiedAcrossFamilies) {
   int solved = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     GenParams params;
@@ -254,7 +255,7 @@ TEST(GreedyLazyIse, FeasibleAndVerifiedAcrossFamilies) {
     params.horizon = 90;
     params.max_proc = 8;
     const Instance instance = generate_mixed(params, 0.5);
-    const BaselineResult result = GreedyLazyIse().solve(instance);
+    const GreedyCostResult result = solve_greedy_cost(instance);
     if (!result.feasible) continue;  // greedy may fail; must never lie
     ++solved;
     const VerifyResult check = verify_ise(instance, result.schedule);
@@ -265,19 +266,19 @@ TEST(GreedyLazyIse, FeasibleAndVerifiedAcrossFamilies) {
   EXPECT_GE(solved, 8) << "greedy-lazy should handle most mixed instances";
 }
 
-TEST(GreedyLazyIse, SharesCalibrationAcrossNonUnitJobs) {
+TEST(GreedyLazy, SharesCalibrationAcrossNonUnitJobs) {
   // Three jobs fit one calibration; lazy binning must open exactly one.
   Instance instance;
   instance.machines = 1;
   instance.T = 10;
   instance.jobs = {{0, 0, 20, 4}, {1, 0, 20, 3}, {2, 0, 20, 3}};
-  const BaselineResult result = GreedyLazyIse().solve(instance);
+  const GreedyCostResult result = solve_greedy_cost(instance);
   ASSERT_TRUE(result.feasible) << result.error;
   EXPECT_EQ(result.schedule.num_calibrations(), 1u);
   EXPECT_TRUE(verify_ise(instance, result.schedule).ok());
 }
 
-TEST(GreedyLazyIse, MatchesExactOnTinyInstances) {
+TEST(GreedyLazy, MatchesExactOnTinyInstances) {
   int compared = 0;
   double worst_ratio = 0.0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -291,7 +292,7 @@ TEST(GreedyLazyIse, MatchesExactOnTinyInstances) {
     const Instance instance = generate_mixed(params, 0.5);
     const ExactIseResult exact = solve_exact_ise(instance);
     if (!exact.solved || !exact.feasible) continue;
-    const BaselineResult greedy = GreedyLazyIse().solve(instance);
+    const GreedyCostResult greedy = solve_greedy_cost(instance);
     if (!greedy.feasible) continue;
     ++compared;
     EXPECT_GE(greedy.schedule.num_calibrations(), exact.optimal_calibrations)

@@ -10,11 +10,11 @@
 #include "baselines/baseline.hpp"
 #include "baselines/calibration_bounds.hpp"
 #include "baselines/exact_ise.hpp"
-#include "exact/search_stats.hpp"
 #include "gen/generators.hpp"
 #include "mm/mm.hpp"
 #include "oracles.hpp"
 #include "runtime/registry.hpp"
+#include "trace/trace.hpp"
 #include "verify/verify.hpp"
 
 namespace calisched {
@@ -276,9 +276,10 @@ TEST(ExactStateSpace, DominanceAndMergingPruneTheLayeredGraph) {
   for (JobId j = 0; j < 7; ++j) {
     instance.jobs.push_back({j, j * 2, j * 2 + 16, 3});
   }
-  exact_search_reset();
-  const ExactIseResult result = solve_exact_ise(instance);
-  const ExactSearchCounters counters = exact_search_snapshot();
+  TraceContext trace;
+  ExactIseOptions options;
+  options.trace = &trace;
+  const ExactIseResult result = solve_exact_ise(instance, options);
   ASSERT_TRUE(result.solved);
   ASSERT_TRUE(result.feasible);
   EXPECT_TRUE(verify_ise(instance, result.schedule).ok());
@@ -288,11 +289,12 @@ TEST(ExactStateSpace, DominanceAndMergingPruneTheLayeredGraph) {
   ASSERT_TRUE(oracle.solved && oracle.feasible);
   EXPECT_EQ(result.optimal_calibrations, oracle.optimal_calibrations);
 
-  EXPECT_GE(counters.searches, 1);
-  EXPECT_GT(counters.states_merged, 0);
-  EXPECT_GT(counters.states_dominated, 0);
-  EXPECT_LT(counters.states_expanded, counters.states_created);
-  EXPECT_GT(counters.layers, 0);
+  EXPECT_GE(trace.counter("state_space.searches"), 1);
+  EXPECT_GT(trace.counter("state_space.merged"), 0);
+  EXPECT_GT(trace.counter("state_space.dominated"), 0);
+  EXPECT_LT(trace.counter("state_space.expanded"),
+            trace.counter("state_space.states"));
+  EXPECT_GT(trace.counter("state_space.layers"), 0);
 }
 
 // -------------------------------------------------------- budget statuses --

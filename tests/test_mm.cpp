@@ -12,6 +12,8 @@
 #include "mm/lp_rounding_mm.hpp"
 #include "mm/mm.hpp"
 #include "oracles.hpp"
+#include "runtime/registry.hpp"
+#include "trace/trace.hpp"
 
 namespace calisched {
 namespace {
@@ -106,11 +108,16 @@ TEST(ExactMM, BeatsGreedyWhenGreedyOverprovisions) {
   }
 }
 
-/// The shipped feasibility search and its branch-and-bound oracle.
+/// The shipped feasibility search (untraced) and its branch-and-bound
+/// oracle.
 using MmFeasibilityFn = MMFeasibility (*)(const Instance&, int, std::int64_t,
                                           const RunLimits&);
-constexpr MmFeasibilityFn kMmSearches[] = {exact_mm_feasibility,
-                                           bnb_mm_feasibility};
+constexpr MmFeasibilityFn kMmSearches[] = {
+    [](const Instance& instance, int machines, std::int64_t budget,
+       const RunLimits& limits) {
+      return exact_mm_feasibility(instance, machines, budget, limits);
+    },
+    bnb_mm_feasibility};
 
 TEST(ExactMM, FeasibilityProbeRespectsMachineCount) {
   const Instance instance = tight_pair();
@@ -394,6 +401,21 @@ TEST(ExactMM, BudgetFallbackReportsItself) {
   EXPECT_NE(result.algorithm.find("budget-exceeded"), std::string::npos)
       << result.algorithm;
   EXPECT_TRUE(verify_mm(instance, result.schedule).ok());
+}
+
+TEST(ExactMM, TraceCarriesStateSpaceCounters) {
+  // mm-exact hands its caller's trace to every feasibility search, so the
+  // engine's work counts land next to the box's own mm.* counters.
+  const Instance instance = generate_partition_adversarial(77, 4, 6);
+  TraceContext trace;
+  const RunResult result =
+      AlgorithmRegistry::builtin().find("mm-exact")->run(
+          instance, RunLimits::none(), &trace);
+  ASSERT_TRUE(result.feasible) << result.error;
+  EXPECT_GE(trace.counter("state_space.searches"), 1);
+  EXPECT_GT(trace.counter("mm.search_nodes"), 0);
+  EXPECT_EQ(trace.counter("state_space.states"),
+            trace.counter("mm.search_nodes"));
 }
 
 TEST(MmBoxes, PartitionAdversarialTwoMachines) {

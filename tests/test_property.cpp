@@ -26,9 +26,9 @@
 #include <tuple>
 #include <utility>
 
-#include "baselines/baseline.hpp"
 #include "baselines/calibration_bounds.hpp"
 #include "baselines/exact_ise.hpp"
+#include "calib/greedy_cost.hpp"
 #include "core/calibration_points.hpp"
 #include "gen/generators.hpp"
 #include "longwin/fractional_witness.hpp"
@@ -497,7 +497,7 @@ TEST_P(ExactRatioSweep, PaperBoundsHoldAgainstCertifiedOptima) {
   // Any feasible baseline upper-bounds the optimum. (The lazy greedy is
   // allowed to fail on tight instances — fully saturated single-machine
   // waves defeat it — and reports that honestly rather than feasibly.)
-  const BaselineResult lazy = GreedyLazyIse().solve(instance);
+  const GreedyCostResult lazy = solve_greedy_cost(instance);
   if (lazy.feasible) {
     EXPECT_GE(static_cast<std::int64_t>(lazy.schedule.num_calibrations()),
               opt);

@@ -115,7 +115,7 @@ TEST(AlgorithmRegistry, BuiltinNamesAndLookup) {
       "combined", "long", "long-speed", "short", "greedy-lazy", "per-job",
       "saturate", "bender-lazy", "exact-ise", "mm-greedy", "mm-exact",
       "mm-unit", "mm-lp-rounding", "gap-min", "exact-calib-cost",
-      "dp-calib-cost", "greedy-calib-cost", "online-edf"};
+      "dp-calib-cost", "online-edf"};
   const AlgorithmRegistry& registry = AlgorithmRegistry::builtin();
   EXPECT_EQ(registry.names(), shipped);
   for (const std::string& name : shipped) {
@@ -124,6 +124,32 @@ TEST(AlgorithmRegistry, BuiltinNamesAndLookup) {
     EXPECT_EQ(algorithm->name(), name);
   }
   EXPECT_EQ(registry.find("no-such-algorithm"), nullptr);
+}
+
+TEST(AlgorithmRegistry, GreedyLazyAcceptsTypeTables) {
+  // One lazy greedy serves both models: on a calibration-type table it
+  // opens the cheapest hosting type instead of refusing the instance.
+  BatchSpec spec;
+  spec.family = "calib-cheap-short";
+  spec.count = 4;
+  spec.params.seed = 1;
+  spec.params.n = 8;
+  spec.params.T = 6;
+  spec.params.machines = 2;
+  spec.params.horizon = 60;
+  spec.params.max_proc = 6;
+  const std::vector<Instance> batch = generate_batch(spec);
+  const Algorithm* greedy = AlgorithmRegistry::builtin().find("greedy-lazy");
+  ASSERT_NE(greedy, nullptr);
+  EXPECT_TRUE(greedy->capabilities().supports_calibration_model);
+  for (const std::size_t index : {0u, 3u}) {
+    const Instance& instance = batch[index];
+    ASSERT_FALSE(instance.is_unit_model()) << index;
+    const RunResult result = greedy->run(instance);
+    ASSERT_TRUE(result.feasible) << index << ": " << result.error;
+    EXPECT_TRUE(result.verified) << index;
+    EXPECT_GT(result.total_cost, 0) << index;
+  }
 }
 
 TEST(AlgorithmRegistry, DuplicateNameThrows) {

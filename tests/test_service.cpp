@@ -654,6 +654,73 @@ TEST(ServeStdio, DeeplyNestedLineGetsErrorAndNextLineIsAnswered) {
   EXPECT_NE(lines[1].find("\"op\":\"ping\""), std::string::npos) << lines[1];
 }
 
+// ------------------------------------------------------------ admission --
+
+/// Sends `hostile` and then a ping over serve --stdio: the hostile line
+/// gets one structured error naming `field` and `bound`, and the ping after
+/// it is still answered.
+void expect_admission_error(const std::string& hostile,
+                            const std::string& field,
+                            const std::string& bound) {
+  const std::string output =
+      serve_script(hostile + "\n{\"type\":\"ping\",\"id\":\"next\"}\n", 1);
+  std::vector<std::string> lines;
+  std::istringstream stream(output);
+  for (std::string line; std::getline(stream, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u) << output;
+  EXPECT_NE(lines[0].find("\"type\":\"error\""), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find(field), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find(bound), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find("\"op\":\"ping\""), std::string::npos) << lines[1];
+}
+
+const std::string kMachineBound = "machines must be <= 1048576";
+const std::string kTimeBound = "[-1099511627776, 1099511627776]";
+
+TEST(Admission, MachineCountPastTheAllotmentBoundIsAnError) {
+  // Regression: 18m overflowed int and the solve answered "infeasible".
+  expect_admission_error(
+      R"({"type":"solve","id":1,"instance":{"machines":1000000000,"T":3,)"
+      R"("jobs":[[1,0,100,3]]}})",
+      "machines", kMachineBound);
+}
+
+TEST(Admission, MachineCountPastIntIsAnErrorNamingTheBound) {
+  // Regression: 3e9 was narrowed to a negative int before the check.
+  expect_admission_error(
+      R"({"type":"solve","id":1,"instance":{"machines":3000000000,"T":3,)"
+      R"("jobs":[[1,0,100,3]]}})",
+      "machines", kMachineBound);
+}
+
+TEST(Admission, CalibrationLengthPastTheTimeBoundIsAnError) {
+  // Regression: 2T overflowed in the window split; answered "infeasible".
+  expect_admission_error(
+      R"({"type":"solve","id":1,"instance":{"machines":1,)"
+      R"("T":4611686018427387904,"jobs":[[1,0,4611686018427387904,3]]}})",
+      "calibration length T", kTimeBound);
+}
+
+TEST(Admission, ReleasePastTheTimeBoundIsAnError) {
+  // Regression: answered "numerical-failure".
+  expect_admission_error(
+      R"({"type":"solve","id":1,"instance":{"machines":1,"T":3,)"
+      R"("jobs":[[1,-9223372036854775807,100,3]]}})",
+      "release", kTimeBound);
+}
+
+TEST(Admission, SubscribeMachineCountPastIntIsAnError) {
+  expect_admission_error(
+      R"({"type":"subscribe","id":1,"machines":3000000000,"T":4})",
+      "machines", kMachineBound);
+}
+
+TEST(Admission, SubscribeCalibrationLengthOneIsAnError) {
+  // Regression: subscribe acked T = 1, which a solve rejects.
+  expect_admission_error(R"({"type":"subscribe","id":1,"machines":1,"T":1})",
+                         "calibration length T", "must be >= 2");
+}
+
 TEST(ServeStdio, ScheduleAttachedOnRequest) {
   const Instance instance = generate_mixed(small_params(34), 0.5);
   JsonValue::Object request;

@@ -71,7 +71,8 @@
 //   long         Theorem 12 long-window pipeline (requires all-long input)
 //   long-speed   Theorem 14 (m machines, speed 36)
 //   short        Theorem 20 short-window pipeline (requires all-short input)
-//   greedy-lazy  non-unit lazy binning heuristic (no guarantee)
+//   greedy-lazy  lazy binning for non-unit jobs, cheapest hosting type
+//                under a caltype table (no guarantee)
 //   per-job      one calibration per job
 //   saturate     always-calibrated grid baseline
 //   bender-lazy  lazy binning (unit jobs only)
@@ -81,7 +82,6 @@
 //   gap-min      exact busy-block minimization (unit jobs, one machine)
 //   exact-calib-cost   exact minimum cost under a caltype table (tiny)
 //   dp-calib-cost      single-machine cost DP (exact, tiny)
-//   greedy-calib-cost  lazy greedy over the caltype table
 //   online-edf   the online heuristic over the instance's arrival trace
 // The MM boxes and gap-min produce no ISE schedule: they print their
 // objective only, and --gantt, --csv and --save-schedule do not apply.

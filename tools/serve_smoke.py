@@ -20,7 +20,11 @@ and asserts the observable contracts:
   * a lockstep client over a pipe — each request written only after the
     previous response arrived, with pause, a solve and resume in separate
     writes — gets every response: the server keeps reading while its
-    writer waits on the paused solve.
+    writer waits on the paused solve;
+  * hostile values past the admission bounds (machine counts past 2^20 or
+    past int, T and release times past 2^40, a subscribe with T = 1) each
+    get one {"type":"error",...} line, and the request after each probe is
+    still answered.
 
 Exit code: 0 when every assertion holds, 1 otherwise.
 """
@@ -41,6 +45,29 @@ PERMUTED = {"machines": 2, "T": 8,
             "jobs": [INSTANCE["jobs"][i] for i in (3, 0, 4, 2, 1)]}
 OTHER = {"machines": 2, "T": 8,
          "jobs": [[0, 0, 18, 3], [1, 4, 36, 8], [2, 2, 28, 5]]}
+
+# Values past the admission bounds (Instance::validate()), each with the
+# bound its error must name. Each once overflowed a derived quantity (18m,
+# 2T, r + k*T) or slipped past a separate check, and was answered as a
+# solve result or an ack.
+MACHINE_BOUND = "machines must be <= 1048576"
+TIME_BOUND = "[-1099511627776, 1099511627776]"
+HOSTILE = [
+    ({"type": "solve", "instance": {"machines": 10**9, "T": 3,
+                                    "jobs": [[1, 0, 100, 3]]}},
+     MACHINE_BOUND),
+    ({"type": "solve", "instance": {"machines": 3 * 10**9, "T": 3,
+                                    "jobs": [[1, 0, 100, 3]]}},
+     MACHINE_BOUND),
+    ({"type": "solve", "instance": {"machines": 1, "T": 2**62,
+                                    "jobs": [[1, 0, 2**62, 3]]}},
+     TIME_BOUND),
+    ({"type": "solve", "instance": {"machines": 1, "T": 3,
+                                    "jobs": [[1, -2**63 + 1, 100, 3]]}},
+     TIME_BOUND),
+    ({"type": "subscribe", "machines": 3 * 10**9, "T": 4}, MACHINE_BOUND),
+    ({"type": "subscribe", "machines": 1, "T": 1}, "T must be >= 2"),
+]
 
 FAILED = 0
 
@@ -238,6 +265,25 @@ def main(argv):
           (client.recv() or {}).get("op") == "shutdown")
     rc = client.close()
     check("lockstep serve exits 0", rc == 0, f"rc={rc}")
+
+    # --- run D: hostile admission probes, each followed by a ping -------
+    script = "".join(
+        line({**probe, "id": f"probe{i}"}) + line({"type": "ping", "id": i})
+        for i, (probe, _) in enumerate(HOSTILE))
+    stdout, rc = run_serve(binary, script, ("--threads=1",))
+    check("hostile probes: serve exits 0", rc == 0, f"rc={rc}")
+    responses = [json.loads(l) for l in stdout.splitlines() if l.strip()]
+    check("hostile probes: one response per request",
+          len(responses) == 2 * len(HOSTILE),
+          f"{len(responses)} != {2 * len(HOSTILE)}")
+    by_id = {str(r.get("id")): r for r in responses}
+    for i, (_, bound) in enumerate(HOSTILE):
+        probe = by_id.get(f"probe{i}", {})
+        check(f"hostile probe {i} answered with an error naming its bound",
+              probe.get("type") == "error" and
+              bound in probe.get("error", ""), str(probe))
+        check(f"request after hostile probe {i} answered",
+              by_id.get(str(i), {}).get("op") == "ping")
 
     print(f"serve_smoke: {'FAILED' if FAILED else 'passed'} "
           f"({FAILED} failing assertion(s))")

@@ -14,7 +14,8 @@
 // (T = 10, m = 3, horizon 5n) at n = 50..800, plus a dense long-window
 // family (horizon 3n) whose window rows bind. For each it records the
 // shape and pivots of both the paper's full LP and the dominant-point LP
-// solve_tise_lp tries first, and whether the window certificate held.
+// solve_tise_lp tries first (the sum over its blocks, and the block
+// count), and whether the window certificate held.
 // Those counts are deterministic and gate CI; the wall times are advisory.
 #include <algorithm>
 #include <chrono>
@@ -96,8 +97,9 @@ int main(int argc, char** argv) {
     // touch the LP perf counters), so rates divide by total wall, not best.
     const LpPerfCounters rev_before = lp_perf_snapshot();
     const auto rev_start = std::chrono::steady_clock::now();
+    constexpr int kRevisedReps = 3;
     const double revised_ms = time_ms(
-        [&] { revised = solve_lp(built.model, revised_options); }, 3);
+        [&] { revised = solve_lp(built.model, revised_options); }, kRevisedReps);
     const double rev_total_ms =
         static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -128,7 +130,8 @@ int main(int argc, char** argv) {
         .cell(speedup, 1)
         .cell(dense.phase1_pivots + dense.phase2_pivots)
         .cell(revised.phase1_pivots + revised.phase2_pivots)
-        .cell(revised_trace.counter("refactor.count"))
+        // The trace adds up every rep's solve.
+        .cell(revised_trace.counter("refactor.count") / kRevisedReps)
         .cell(obj_diff, 9);
   }
   bench.print_table("engines",
@@ -183,8 +186,8 @@ int main(int argc, char** argv) {
 
   Table& shapes = bench.table(
       "dominant", {"family", "n", "full-rows", "full-cols", "full-piv",
-                   "dom-rows", "dom-cols", "dom-piv", "certified", "full-ms",
-                   "tise-ms", "obj-diff"});
+                   "dom-rows", "dom-cols", "dom-piv", "blocks", "certified",
+                   "full-ms", "tise-ms", "obj-diff"});
   const auto pivots = [](const LpSolution& solution) {
     return solution.phase1_pivots + solution.phase2_pivots;
   };
@@ -201,8 +204,10 @@ int main(int argc, char** argv) {
           full_solution = solve_lp(full.model);
         },
         1);
-    const TiseLpModel dominant = build_dominant_tise_lp(c.instance);
-    const LpSolution dominant_solution = solve_lp(dominant.model);
+    // With m' = n no window row can bind (the whole optimum is at most n
+    // calibrations), so this is the dominant-point stage alone.
+    const TiseFractional dominant =
+        solve_tise_lp(c.instance, static_cast<int>(c.instance.size()));
     TiseFractional tise;
     const double tise_ms =
         time_ms([&] { tise = solve_tise_lp(c.instance, m_prime); }, 1);
@@ -225,10 +230,10 @@ int main(int argc, char** argv) {
     bench.metric(key + "_full_rows", full.model.num_rows());
     bench.metric(key + "_full_cols", full.model.num_variables());
     bench.metric(key + "_full_pivots", static_cast<double>(pivots(full_solution)));
-    bench.metric(key + "_dom_rows", dominant.model.num_rows());
-    bench.metric(key + "_dom_cols", dominant.model.num_variables());
-    bench.metric(key + "_dom_pivots",
-                 static_cast<double>(pivots(dominant_solution)));
+    bench.metric(key + "_dom_rows", dominant.lp_rows);
+    bench.metric(key + "_dom_cols", dominant.lp_columns);
+    bench.metric(key + "_dom_pivots", static_cast<double>(dominant.pivots));
+    bench.metric(key + "_dom_blocks", dominant.blocks);
     bench.metric(key + "_certified", certified ? 1.0 : 0.0);
     shapes.row()
         .cell(c.family)
@@ -236,9 +241,10 @@ int main(int argc, char** argv) {
         .cell(full.model.num_rows())
         .cell(full.model.num_variables())
         .cell(pivots(full_solution))
-        .cell(dominant.model.num_rows())
-        .cell(dominant.model.num_variables())
-        .cell(pivots(dominant_solution))
+        .cell(dominant.lp_rows)
+        .cell(dominant.lp_columns)
+        .cell(dominant.pivots)
+        .cell(dominant.blocks)
         .cell(certified ? "yes" : "no")
         .cell(full_ms, 2)
         .cell(tise_ms, 2)
@@ -246,8 +252,9 @@ int main(int argc, char** argv) {
   }
   bench.print_table("dominant",
                     "TISE LP at serving sizes (m' = 3m): the paper's full LP "
-                    "(build + solve) vs solve_tise_lp (dominant-point LP, "
-                    "full LP only when the certificate fails)");
+                    "(build + solve) vs solve_tise_lp (dominant-point LP "
+                    "solved block by block, full LP only when the "
+                    "certificate fails)");
   bench.metric("large_n400_tise_speedup", large_n400_speedup);
   bench.check("certificate holds on every large-family LP", large_certified);
   bench.check("certificate fails on every dense-family LP", dense_fell_back);
@@ -256,9 +263,9 @@ int main(int argc, char** argv) {
       format_double(large_n400_speedup, 1) +
       "x faster than building and solving it in full: the LP over dominant "
       "points (one per maximal set of TISE-feasible jobs), without the "
-      "window rows, is an order of magnitude smaller, and its optimum "
-      "satisfied every window row, which certifies it. On the dense family "
-      "the certificate fails and the small solve is paid on top of the "
-      "full one.");
+      "window rows, is an order of magnitude smaller and splits into "
+      "independent blocks, and its optimum satisfied every window row, "
+      "which certifies it. On the dense family the certificate fails and "
+      "the small solve is paid on top of the full one.");
   return bench.finish();
 }

@@ -1,7 +1,12 @@
 #include "core/calibration_points.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <iterator>
+#include <limits>
+#include <numeric>
 #include <set>
+#include <utility>
 
 namespace calisched {
 namespace {
@@ -28,6 +33,54 @@ std::vector<Time> span_sums(std::vector<Time> spans, std::size_t max_count,
   }
   return {sums.begin(), sums.end()};
 }
+
+Time floor_mod(Time value, Time modulus) {
+  const Time rest = value % modulus;
+  return rest < 0 ? rest + modulus : rest;
+}
+
+/// The last Lemma-3 grid point at or below a time e: the largest r_i + k*T
+/// with 0 <= k <= n and r_i + k*T <= e. Queries must not decrease. A
+/// release r_i within n*T below e contributes e - ((e - r_i) mod T), so the
+/// releases in [e - n*T, e] live in an ordered set of their residues mod T;
+/// one further below contributes r_i + n*T, and the largest such release is
+/// the last one to leave the window.
+class LastGridPoint {
+ public:
+  LastGridPoint(std::vector<Time> releases, Time T)
+      : releases_(std::move(releases)),
+        T_(T),
+        reach_(static_cast<Time>(releases_.size()) * T) {}
+
+  Time at(Time e) {
+    for (; entered_ < releases_.size() && releases_[entered_] <= e; ++entered_) {
+      residues_.insert(floor_mod(releases_[entered_], T_));
+    }
+    for (; left_ < entered_ && releases_[left_] < e - reach_; ++left_) {
+      residues_.erase(residues_.find(floor_mod(releases_[left_], T_)));
+    }
+    Time best = left_ > 0 ? releases_[left_ - 1] + reach_
+                          : std::numeric_limits<Time>::min();
+    if (!residues_.empty()) {
+      // The nearest residue at or below e's, cyclically.
+      const Time phase = floor_mod(e, T_);
+      const auto above = residues_.upper_bound(phase);
+      const Time gap = above != residues_.begin()
+                           ? phase - *std::prev(above)
+                           : phase - *residues_.rbegin() + T_;
+      best = std::max(best, e - gap);
+    }
+    return best;
+  }
+
+ private:
+  std::vector<Time> releases_;  ///< ascending
+  Time T_;
+  Time reach_;                  ///< n * T
+  std::size_t entered_ = 0;     ///< releases_[0, entered_) are <= e
+  std::size_t left_ = 0;        ///< releases_[0, left_) are < e - reach_
+  std::multiset<Time> residues_;
+};
 
 }  // namespace
 
@@ -58,44 +111,73 @@ std::vector<Time> canonical_calibration_points(const Instance& instance) {
 
 std::vector<Time> tise_calibration_points(const Instance& instance) {
   std::vector<Time> points = canonical_calibration_points(instance);
-  const auto feasible_for_some_job = [&](Time t) {
-    return std::any_of(instance.jobs.begin(), instance.jobs.end(),
-                       [&](const Job& job) {
-                         return job.release <= t && t <= job.deadline - instance.T;
-                       });
-  };
-  std::erase_if(points, [&](Time t) { return !feasible_for_some_job(t); });
+  // t is feasible for some job exactly when the largest d_j - T among the
+  // jobs released by t reaches t. Points ascend, so one pass over the jobs
+  // in release order decides every point.
+  std::vector<std::pair<Time, Time>> windows;  // (r_j, d_j - T)
+  windows.reserve(instance.size());
+  for (const Job& job : instance.jobs) {
+    windows.emplace_back(job.release, job.deadline - instance.T);
+  }
+  std::sort(windows.begin(), windows.end());
+  std::size_t released = 0;
+  Time reach = std::numeric_limits<Time>::min();
+  std::size_t kept = 0;
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    const Time t = points[p];
+    for (; released < windows.size() && windows[released].first <= t; ++released) {
+      reach = std::max(reach, windows[released].second);
+    }
+    if (reach >= t) points[kept++] = t;
+  }
+  points.resize(kept);
   return points;
 }
 
-std::vector<int> dominant_point_indices(const Instance& instance,
-                                        const std::vector<Time>& points) {
-  // Each job covers one index range [first, last] of the sorted points.
-  // J(p) escapes J(p - 1) exactly when some range starts at p, and escapes
-  // J(p + 1) exactly when some range ends at p. So a run of equal sets is
-  // maximal when a range starts at its first point and one ends at its
-  // last: keep a point where a range ends, if a range started since the
-  // previous range end.
-  std::vector<char> starts(points.size(), 0);
-  std::vector<char> ends(points.size(), 0);
-  for (const Job& job : instance.jobs) {
-    const auto first =
-        std::lower_bound(points.begin(), points.end(), job.release);
-    const auto last =
-        std::upper_bound(first, points.end(), job.deadline - instance.T);
-    if (first == last) continue;  // no point in the job's trimmed window
-    starts[static_cast<std::size_t>(first - points.begin())] = 1;
-    ends[static_cast<std::size_t>(last - points.begin()) - 1] = 1;
+std::vector<DominantBlock> dominant_blocks(const Instance& instance) {
+  const Time T = instance.T;
+  const auto end_of = [&](std::size_t j) { return instance.jobs[j].deadline - T; };
+  std::vector<std::size_t> order(instance.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return instance.jobs[a].release < instance.jobs[b].release;
+  });
+  std::vector<Time> releases;
+  releases.reserve(order.size());
+  for (const std::size_t j : order) {
+    assert(instance.jobs[j].release <= end_of(j));
+    releases.push_back(instance.jobs[j].release);
   }
-  std::vector<int> dominant;
-  bool rising = false;
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    rising = rising || starts[p] != 0;
-    if (ends[p] == 0) continue;
-    if (rising) dominant.push_back(static_cast<int>(p));
-    rising = false;
+  LastGridPoint last_point(releases, T);
+
+  std::vector<DominantBlock> blocks;
+  std::vector<Time> ends;
+  for (std::size_t first = 0, last = 0; first < order.size(); first = last) {
+    // A block grows while the next release is within the running reach of
+    // d - T (closed intervals: touching windows share a point).
+    Time reach = end_of(order[first]);
+    for (last = first + 1; last < order.size() && releases[last] <= reach; ++last) {
+      reach = std::max(reach, end_of(order[last]));
+    }
+    DominantBlock& block = blocks.emplace_back();
+    block.jobs.assign(order.begin() + static_cast<std::ptrdiff_t>(first),
+                      order.begin() + static_cast<std::ptrdiff_t>(last));
+    std::sort(block.jobs.begin(), block.jobs.end());
+    ends.clear();
+    for (const std::size_t j : block.jobs) ends.push_back(end_of(j));
+    std::sort(ends.begin(), ends.end());
+    // Starts come before ends at equal times. A clique closes at an end if
+    // a start was seen since the previous end.
+    std::size_t started = first;
+    bool rising = false;
+    for (const Time e : ends) {
+      for (; started < last && releases[started] <= e; ++started) rising = true;
+      if (!rising) continue;
+      block.points.push_back(last_point.at(e));
+      rising = false;
+    }
   }
-  return dominant;
+  return blocks;
 }
 
 }  // namespace calisched

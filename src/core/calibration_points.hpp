@@ -27,19 +27,31 @@ namespace calisched {
 
 /// The subset of the canonical grid that is TISE-feasible for at least one
 /// long job, i.e. exists j with r_j <= t <= d_j - T. Points outside every
-/// job's trimmed window carry C_t = 0 in some LP optimum, so the TISE LP is
-/// built over this (much smaller) set. Unit-model semantics: the classic
-/// pipelines that call this are gated on the unit model by the registry.
+/// job's trimmed window carry C_t = 0 in some LP optimum, so the paper's
+/// TISE LP is built over this (much smaller) set. Unit-model semantics: the
+/// classic pipelines that call this are gated on the unit model by the
+/// registry.
 [[nodiscard]] std::vector<Time> tise_calibration_points(const Instance& instance);
 
-/// Indices into `points` (sorted ascending, e.g. tise_calibration_points)
-/// of the dominant points: those whose set of TISE-feasible jobs
-/// J(t) = {j : r_j <= t <= d_j - T} is maximal under inclusion, one per run
-/// of consecutive points with equal sets (its last point). Every point's set
-/// lies inside a dominant point's set. Each J(t) is the set of job ranges
-/// [r_j, d_j - T] that contain t, so these are the maximal cliques of an
-/// interval graph, found by one sweep in O(n log P + P). Ascending.
-[[nodiscard]] std::vector<int> dominant_point_indices(
-    const Instance& instance, const std::vector<Time>& points);
+/// A connected block of trimmed windows [r_j, d_j - T] (closed intervals)
+/// and its dominant points. Let J(t) = {j : r_j <= t <= d_j - T}. A
+/// dominant point ends a run of consecutive tise_calibration_points with
+/// one maximal J(t), so J(t) is a maximal clique of the interval graph of
+/// the trimmed windows, and every grid point's set lies inside a dominant
+/// point's set. No clique spans two blocks.
+struct DominantBlock {
+  std::vector<std::size_t> jobs;  ///< indices into instance.jobs, ascending
+  std::vector<Time> points;       ///< the block's dominant points, ascending
+};
+
+/// The dominant points of tise_calibration_points(instance), grouped by
+/// block, found from the job endpoints without building the grid. Blocks
+/// come in time order, so their points concatenate ascending. One sweep
+/// over the endpoints of each block finds its maximal cliques; each
+/// clique's point is the last grid point of its run: the largest
+/// r_i + k*T at or below the clique's end, 0 <= k <= n, over every job i.
+/// O(n log n). Every trimmed window must be nonempty (r_j <= d_j - T, as
+/// for long jobs). Unit model (the grid's span is T).
+[[nodiscard]] std::vector<DominantBlock> dominant_blocks(const Instance& instance);
 
 }  // namespace calisched

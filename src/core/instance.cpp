@@ -175,6 +175,9 @@ Instance read_instance(std::istream& in) {
     throw std::runtime_error("instance parse error on line " +
                              std::to_string(line_number) + ": " + what);
   };
+  auto reject_trailing = [&](std::istringstream& fields) {
+    if (std::string extra; fields >> extra) fail("unexpected field '" + extra + "'");
+  };
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty() || line[0] == '#') continue;
@@ -200,6 +203,7 @@ Instance read_instance(std::istream& in) {
     } else {
       fail("unknown keyword '" + keyword + "'");
     }
+    reject_trailing(fields);
   }
   if (auto error = instance.validate()) fail(*error);
   return instance;

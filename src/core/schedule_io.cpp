@@ -37,6 +37,9 @@ Schedule read_schedule(std::istream& in) {
     throw std::runtime_error("schedule parse error on line " +
                              std::to_string(line_number) + ": " + what);
   };
+  auto reject_trailing = [&](std::istringstream& fields) {
+    if (std::string extra; fields >> extra) fail("unexpected field '" + extra + "'");
+  };
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty() || line[0] == '#') continue;
@@ -62,7 +65,13 @@ Schedule read_schedule(std::istream& in) {
       if (!(fields >> cal.machine >> cal.start)) {
         fail("expected: calibration <machine> <start> [type]");
       }
-      fields >> cal.type;  // optional third field; absent means type 0
+      // Optional third field; absent means type 0.
+      if (std::string type; fields >> type) {
+        std::istringstream type_field(type);
+        if (!(type_field >> cal.type) || !type_field.eof()) {
+          fail("unexpected field '" + type + "'");
+        }
+      }
       schedule.calibrations.push_back(cal);
     } else if (keyword == "job") {
       ScheduledJob sj;
@@ -73,6 +82,7 @@ Schedule read_schedule(std::istream& in) {
     } else {
       fail("unknown keyword '" + keyword + "'");
     }
+    reject_trailing(fields);
   }
   if (schedule.machines < 0 || schedule.time_denominator < 1 ||
       schedule.speed < 1) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
+#include <queue>
 
 namespace calisched {
 
@@ -33,34 +35,47 @@ EdfAssignResult edf_assign_jobs(const Instance& instance, const Schedule& calend
                                         : a.machine < b.machine;
             });
 
+  // Jobs enter a min-heap on (deadline, id) in release order as the scan
+  // time passes their release. Scan times never decrease, so a job whose
+  // d_j - T falls behind the scan never becomes eligible again and leaves
+  // the heap for good when it reaches the top.
+  std::vector<std::size_t> by_release(instance.size());
+  std::iota(by_release.begin(), by_release.end(), std::size_t{0});
+  std::sort(by_release.begin(), by_release.end(),
+            [&](std::size_t a, std::size_t b) {
+              return instance.jobs[a].release < instance.jobs[b].release;
+            });
+  const auto later = [&](std::size_t a, std::size_t b) {
+    const Job& x = instance.jobs[a];
+    const Job& y = instance.jobs[b];
+    return x.deadline != y.deadline ? x.deadline > y.deadline : x.id > y.id;
+  };
+  std::priority_queue<std::size_t, std::vector<std::size_t>, decltype(later)>
+      ready(later);
   std::vector<bool> done(instance.size(), false);
-  std::size_t remaining = instance.size();
+  std::size_t released = 0;
   for (const Calibration& cal : scan) {
-    if (remaining == 0) break;
     const Time t = cal.start;
+    for (; released < by_release.size() &&
+           instance.jobs[by_release[released]].release <= t;
+         ++released) {
+      ready.push(by_release[released]);
+    }
     Time used = 0;
-    while (true) {
-      // Earliest-deadline unscheduled job obeying the TISE constraint,
-      // ties broken by job id (the paper: "ties broken arbitrarily").
-      std::size_t chosen = instance.size();
-      for (std::size_t j = 0; j < instance.size(); ++j) {
-        if (done[j]) continue;
-        const Job& job = instance.jobs[j];
-        if (job.release > t || t > job.deadline - instance.T) continue;
-        if (chosen == instance.size() ||
-            job.deadline < instance.jobs[chosen].deadline ||
-            (job.deadline == instance.jobs[chosen].deadline &&
-             job.id < instance.jobs[chosen].id)) {
-          chosen = j;
-        }
+    // Earliest-deadline unscheduled job obeying the TISE constraint, ties
+    // broken by job id (the paper: "ties broken arbitrarily"), until the
+    // next one does not fit.
+    while (!ready.empty()) {
+      const Job& job = instance.jobs[ready.top()];
+      if (t > job.deadline - instance.T) {
+        ready.pop();
+        continue;
       }
-      if (chosen == instance.size()) break;  // j == NULL
-      const Job& job = instance.jobs[chosen];
       if (job.proc + used > instance.T) break;  // calibration is full
       schedule.jobs.push_back({job.id, cal.machine, t + used});
       used += job.proc;
-      done[chosen] = true;
-      --remaining;
+      done[ready.top()] = true;
+      ready.pop();
     }
   }
 

@@ -67,6 +67,7 @@ LongWindowResult solve_long_window(const Instance& instance,
   trace->set("lp.pivots", fractional.pivots);
   trace->set("lp.rows", fractional.lp_rows);
   trace->set("lp.columns", fractional.lp_columns);
+  trace->set("lp.blocks", fractional.blocks);
   trace->set("lp.window_fallback", fractional.window_fallback ? 1 : 0);
   if (fractional.status != LpStatus::kOptimal) {
     fail_result(result, lp_status_to_solve(fractional.status),

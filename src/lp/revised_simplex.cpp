@@ -432,10 +432,16 @@ class RevisedSimplex {
 
   LpSolution solve() {
     LpSolution solution;
-    trace_set(options_.trace, "revised.rows", rows_);
-    trace_set(options_.trace, "revised.columns", total_cols_);
-    trace_set(options_.trace, "revised.nnz",
-              static_cast<std::int64_t>(matrix_.num_nonzeros()));
+    run_phases(solution);
+    flush_counters(solution);
+    return solution;
+  }
+
+ private:
+  enum class RunResult { kOptimal, kUnbounded, kIterationLimit, kStopped };
+
+  /// Phase 1, the expel pass and phase 2, filling `solution` on every exit.
+  void run_phases(LpSolution& solution) {
     // ---- Warm start: adopt the caller's basis when it checks out. ----
     bool warm = false;
     if (options_.warm_start && options_.warm_start->valid) {
@@ -453,19 +459,18 @@ class RevisedSimplex {
       const RunResult phase1 = run(costs1_, /*allow_artificial_entering=*/true,
                                    solution.phase1_pivots);
       span.stop();
-      flush_counters(solution);
       if (phase1 == RunResult::kStopped) {
         solution.status = stop_status();
-        return solution;
+        return;
       }
       if (phase1 == RunResult::kIterationLimit) {
         solution.status = LpStatus::kIterationLimit;
-        return solution;
+        return;
       }
       refresh_basic_values();
       if (phase1_infeasibility() > kLpFeasibilityTol) {
         solution.status = LpStatus::kInfeasible;
-        return solution;
+        return;
       }
       expel_artificials(solution.expel_pivots);
     }
@@ -474,18 +479,17 @@ class RevisedSimplex {
     const RunResult phase2 = run(costs2_, /*allow_artificial_entering=*/false,
                                  solution.phase2_pivots);
     phase2_span.stop();
-    flush_counters(solution);
     switch (phase2) {
       case RunResult::kOptimal: solution.status = LpStatus::kOptimal; break;
       case RunResult::kUnbounded:
         solution.status = LpStatus::kUnbounded;
-        return solution;
+        return;
       case RunResult::kIterationLimit:
         solution.status = LpStatus::kIterationLimit;
-        return solution;
+        return;
       case RunResult::kStopped:
         solution.status = stop_status();
-        return solution;
+        return;
     }
     // ---- Extract structural values. ----
     refresh_basic_values();
@@ -499,11 +503,7 @@ class RevisedSimplex {
     }
     solution.objective = basis_objective(costs2_);
     export_warm_start();
-    return solution;
   }
-
- private:
-  enum class RunResult { kOptimal, kUnbounded, kIterationLimit, kStopped };
 
   /// LpStatus for a kStopped run (deadline vs cancellation).
   [[nodiscard]] LpStatus stop_status() const noexcept {
@@ -1140,22 +1140,27 @@ class RevisedSimplex {
     }
   }
 
-  /// Mirrors cumulative counters into the trace sink; called after each
-  /// phase so an iteration-limited solve still reports.
+  /// Adds this solve's counters to the trace sink, once per solve on every
+  /// exit, so the solves that share a sink add up; the two peaks keep the
+  /// maximum.
   void flush_counters(const LpSolution& solution) {
     TraceContext* trace = options_.trace;
     if (!trace) return;
-    trace->set("pivots.phase1", solution.phase1_pivots);
-    trace->set("pivots.phase2", solution.phase2_pivots);
-    trace->set("pivots.expel", solution.expel_pivots);
-    trace->set("bland.activations", bland_activations_);
-    trace->set("refactor.count", refactor_count_);
-    trace->set("refactor.failures", refactor_failures_);
-    trace->set("refactor.bump.peak", bump_peak_);
-    trace->set("eta.peak", eta_peak_);
-    trace->set("eta.nnz", static_cast<std::int64_t>(etas_.num_nonzeros()));
-    trace->set("pricing.sections", pricing_sections_);
-    trace->set("workspace.reused", workspace_reused_ ? 1 : 0);
+    trace->add("revised.rows", rows_);
+    trace->add("revised.columns", total_cols_);
+    trace->add("revised.nnz", static_cast<std::int64_t>(matrix_.num_nonzeros()));
+    trace->add("pivots.phase1", solution.phase1_pivots);
+    trace->add("pivots.phase2", solution.phase2_pivots);
+    trace->add("pivots.expel", solution.expel_pivots);
+    trace->add("bland.activations", bland_activations_);
+    trace->add("refactor.count", refactor_count_);
+    trace->add("refactor.failures", refactor_failures_);
+    trace->set("refactor.bump.peak",
+               std::max(trace->counter("refactor.bump.peak"), bump_peak_));
+    trace->set("eta.peak", std::max(trace->counter("eta.peak"), eta_peak_));
+    trace->add("eta.nnz", static_cast<std::int64_t>(etas_.num_nonzeros()));
+    trace->add("pricing.sections", pricing_sections_);
+    trace->add("workspace.reused", workspace_reused_ ? 1 : 0);
   }
 
   SimplexOptions options_;
@@ -1258,10 +1263,10 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options) {
   SimplexOptions opts = options;
   if (!opts.workspace) opts.workspace = &thread_default_workspace();
   PresolvedLp presolved = presolve_lp(model);
-  trace_set(opts.trace, "presolve.rows.dropped",
+  trace_add(opts.trace, "presolve.rows.dropped",
             presolved.summary.rows_dropped);
-  trace_set(opts.trace, "presolve.cols.fixed", presolved.summary.cols_fixed);
-  trace_set(opts.trace, "presolve.rows.normalized",
+  trace_add(opts.trace, "presolve.cols.fixed", presolved.summary.cols_fixed);
+  trace_add(opts.trace, "presolve.rows.normalized",
             presolved.summary.rows_normalized);
   if (presolved.summary.infeasible) {
     solution.status = LpStatus::kInfeasible;

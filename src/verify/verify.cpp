@@ -1,8 +1,11 @@
 #include "verify/verify.hpp"
 
 #include <algorithm>
-#include <map>
+#include <compare>
+#include <iterator>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 namespace calisched {
 namespace {
@@ -13,18 +16,71 @@ void add(VerifyResult& result, Violation::Kind kind, const std::string& message)
 
 std::string job_tag(JobId id) { return "job " + std::to_string(id); }
 
-/// Checks that no two half-open intervals in `spans` (sorted by start)
-/// overlap; reports via `what`.
+/// Instance jobs by id: (id, job) pairs sorted by id. With duplicate ids
+/// the last job in instance order answers for the id.
+class JobIndex {
+ public:
+  static constexpr std::size_t kMissing = static_cast<std::size_t>(-1);
+
+  explicit JobIndex(const Instance& instance) {
+    entries_.reserve(instance.size());
+    for (const Job& job : instance.jobs) entries_.emplace_back(job.id, &job);
+    std::stable_sort(entries_.begin(), entries_.end(),
+                     [](const Entry& a, const Entry& b) { return a.first < b.first; });
+  }
+
+  /// Position of the entry that answers for `id`, or kMissing.
+  [[nodiscard]] std::size_t find(JobId id) const {
+    const auto after = std::upper_bound(
+        entries_.begin(), entries_.end(), id,
+        [](JobId key, const Entry& entry) { return key < entry.first; });
+    if (after == entries_.begin() || std::prev(after)->first != id) return kMissing;
+    return static_cast<std::size_t>(std::prev(after) - entries_.begin());
+  }
+  [[nodiscard]] const Job& job(std::size_t position) const {
+    return *entries_[position].second;
+  }
+
+ private:
+  using Entry = std::pair<JobId, const Job*>;
+  std::vector<Entry> entries_;
+};
+
+/// Reports every instance job not scheduled exactly once; `times` counts
+/// the schedule's placements per JobIndex position (one per instance job).
+void check_multiplicity(VerifyResult& result, const Instance& instance,
+                        const JobIndex& by_id, const std::vector<int>& times) {
+  for (const Job& job : instance.jobs) {
+    const int count = times[by_id.find(job.id)];
+    if (count != 1) {
+      add(result, Violation::Kind::kStructural,
+          job_tag(job.id) + " scheduled " + std::to_string(count) +
+              " times (expected exactly 1)");
+    }
+  }
+}
+
+/// A half-open span of ticks on one machine.
+struct MachineSpan {
+  int machine;
+  Time start;
+  Time end;
+  auto operator<=>(const MachineSpan&) const = default;
+};
+
+/// Reports each overlap between consecutive spans of one machine, machines
+/// ascending and spans by start; reports via `what`. Sorts `spans`.
 void check_disjoint(VerifyResult& result, Violation::Kind kind,
-                    std::vector<std::pair<Time, Time>>& spans, int machine,
-                    const char* what) {
+                    std::vector<MachineSpan>& spans, const char* what) {
   std::sort(spans.begin(), spans.end());
   for (std::size_t i = 1; i < spans.size(); ++i) {
-    if (spans[i].first < spans[i - 1].second) {
+    const MachineSpan& before = spans[i - 1];
+    const MachineSpan& span = spans[i];
+    if (span.machine == before.machine && span.start < before.end) {
       std::ostringstream msg;
-      msg << what << " overlap on machine " << machine << ": ["
-          << spans[i - 1].first << ", " << spans[i - 1].second << ") and ["
-          << spans[i].first << ", " << spans[i].second << ") ticks";
+      msg << what << " overlap on machine " << span.machine << ": ["
+          << before.start << ", " << before.end << ") and [" << span.start
+          << ", " << span.end << ") ticks";
       add(result, kind, msg.str());
     }
   }
@@ -78,30 +134,23 @@ VerifyResult verify_ise(const Instance& instance, const Schedule& schedule,
   };
 
   // --- structural checks on machines and job multiplicity -----------------
-  std::map<JobId, const Job*> by_id;
-  for (const Job& job : instance.jobs) by_id[job.id] = &job;
-  std::map<JobId, int> times_scheduled;
+  const JobIndex by_id(instance);
+  std::vector<int> times_scheduled(instance.size(), 0);
   for (const ScheduledJob& sj : schedule.jobs) {
     if (sj.machine < 0 || sj.machine >= schedule.machines) {
       add(result, Violation::Kind::kStructural,
           job_tag(sj.job) + ": machine index " + std::to_string(sj.machine) +
               " out of range [0, " + std::to_string(schedule.machines) + ")");
     }
-    if (!by_id.count(sj.job)) {
+    const std::size_t position = by_id.find(sj.job);
+    if (position == JobIndex::kMissing) {
       add(result, Violation::Kind::kStructural,
           job_tag(sj.job) + " is not in the instance");
       continue;
     }
-    ++times_scheduled[sj.job];
+    ++times_scheduled[position];
   }
-  for (const Job& job : instance.jobs) {
-    const int count = times_scheduled.count(job.id) ? times_scheduled[job.id] : 0;
-    if (count != 1) {
-      add(result, Violation::Kind::kStructural,
-          job_tag(job.id) + " scheduled " + std::to_string(count) +
-              " times (expected exactly 1)");
-    }
-  }
+  check_multiplicity(result, instance, by_id, times_scheduled);
   for (const Calibration& cal : schedule.calibrations) {
     if (cal.machine < 0 || cal.machine >= schedule.machines) {
       add(result, Violation::Kind::kStructural,
@@ -125,10 +174,18 @@ VerifyResult verify_ise(const Instance& instance, const Schedule& schedule,
   }
 
   // --- per-job checks: arithmetic, window, calibration containment --------
+  // Calibrations by machine, each machine's in schedule order, so the first
+  // cover found is the first one in the schedule.
+  std::vector<std::pair<int, std::size_t>> calibrations_by_machine;
+  calibrations_by_machine.reserve(schedule.calibrations.size());
+  for (std::size_t i = 0; i < schedule.calibrations.size(); ++i) {
+    calibrations_by_machine.emplace_back(schedule.calibrations[i].machine, i);
+  }
+  std::sort(calibrations_by_machine.begin(), calibrations_by_machine.end());
   for (const ScheduledJob& sj : schedule.jobs) {
-    const auto it = by_id.find(sj.job);
-    if (it == by_id.end()) continue;
-    const Job& job = *it->second;
+    const std::size_t position = by_id.find(sj.job);
+    if (position == JobIndex::kMissing) continue;
+    const Job& job = by_id.job(position);
     if ((job.proc * D) % s != 0) {
       add(result, Violation::Kind::kArithmetic,
           job_tag(job.id) + ": p*D=" + std::to_string(job.proc * D) +
@@ -147,9 +204,12 @@ VerifyResult verify_ise(const Instance& instance, const Schedule& schedule,
     }
     // Find a calibration whose availability window covers the run.
     const Calibration* cover = nullptr;
-    for (const Calibration& cal : schedule.calibrations) {
-      if (cal.machine == sj.machine && avail_start(cal) <= start &&
-          finish <= avail_end(cal)) {
+    for (auto it = std::lower_bound(calibrations_by_machine.begin(),
+                                    calibrations_by_machine.end(),
+                                    std::pair<int, std::size_t>{sj.machine, 0});
+         it != calibrations_by_machine.end() && it->first == sj.machine; ++it) {
+      const Calibration& cal = schedule.calibrations[it->second];
+      if (avail_start(cal) <= start && finish <= avail_end(cal)) {
         cover = &cal;
         break;
       }
@@ -174,27 +234,24 @@ VerifyResult verify_ise(const Instance& instance, const Schedule& schedule,
   }
 
   // --- per-machine exclusivity ---------------------------------------------
-  std::map<int, std::vector<std::pair<Time, Time>>> job_spans;
+  std::vector<MachineSpan> spans;
+  spans.reserve(std::max(schedule.jobs.size(), schedule.calibrations.size()));
   for (const ScheduledJob& sj : schedule.jobs) {
-    const auto it = by_id.find(sj.job);
-    if (it == by_id.end()) continue;
-    const Job& job = *it->second;
+    const std::size_t position = by_id.find(sj.job);
+    if (position == JobIndex::kMissing) continue;
+    const Job& job = by_id.job(position);
     if ((job.proc * D) % s != 0) continue;  // already reported
-    job_spans[sj.machine].emplace_back(sj.start, sj.start + (job.proc * D) / s);
+    spans.push_back({sj.machine, sj.start, sj.start + (job.proc * D) / s});
   }
-  for (auto& [machine, spans] : job_spans) {
-    check_disjoint(result, Violation::Kind::kJobOverlap, spans, machine, "jobs");
-  }
+  check_disjoint(result, Violation::Kind::kJobOverlap, spans, "jobs");
   if (policy == CalibrationPolicy::kStrict) {
     // Occupancy spans: the activation delay occupies the machine too.
-    std::map<int, std::vector<std::pair<Time, Time>>> cal_spans;
+    spans.clear();
     for (const Calibration& cal : schedule.calibrations) {
-      cal_spans[cal.machine].emplace_back(cal.start, avail_end(cal));
+      spans.push_back({cal.machine, cal.start, avail_end(cal)});
     }
-    for (auto& [machine, spans] : cal_spans) {
-      check_disjoint(result, Violation::Kind::kCalibrationOverlap, spans,
-                     machine, "calibrations");
-    }
+    check_disjoint(result, Violation::Kind::kCalibrationOverlap, spans,
+                   "calibrations");
   }
   return result;
 }
@@ -210,23 +267,23 @@ VerifyResult verify_mm(const Instance& instance, const MMSchedule& schedule) {
     add(result, Violation::Kind::kArithmetic, "MM speed must be >= 1");
     return result;
   }
-  std::map<JobId, const Job*> by_id;
-  for (const Job& job : instance.jobs) by_id[job.id] = &job;
-  std::map<JobId, int> times_scheduled;
-  std::map<int, std::vector<std::pair<Time, Time>>> spans;
+  const JobIndex by_id(instance);
+  std::vector<int> times_scheduled(instance.size(), 0);
+  std::vector<MachineSpan> spans;
+  spans.reserve(schedule.jobs.size());
   for (const ScheduledJob& sj : schedule.jobs) {
     if (sj.machine < 0 || sj.machine >= schedule.machines) {
       add(result, Violation::Kind::kStructural,
           job_tag(sj.job) + ": machine index out of range");
     }
-    const auto it = by_id.find(sj.job);
-    if (it == by_id.end()) {
+    const std::size_t position = by_id.find(sj.job);
+    if (position == JobIndex::kMissing) {
       add(result, Violation::Kind::kStructural,
           job_tag(sj.job) + " is not in the instance");
       continue;
     }
-    ++times_scheduled[sj.job];
-    const Job& job = *it->second;
+    ++times_scheduled[position];
+    const Job& job = by_id.job(position);
     // Starts are in 1/s time units; the job occupies proc ticks.
     if (sj.start < job.release * s || sj.start + job.proc > job.deadline * s) {
       std::ostringstream msg;
@@ -235,20 +292,10 @@ VerifyResult verify_mm(const Instance& instance, const MMSchedule& schedule) {
           << job.release * s << ", " << job.deadline * s << ")";
       add(result, Violation::Kind::kWindow, msg.str());
     }
-    spans[sj.machine].emplace_back(sj.start, sj.start + job.proc);
+    spans.push_back({sj.machine, sj.start, sj.start + job.proc});
   }
-  for (const Job& job : instance.jobs) {
-    const int count = times_scheduled.count(job.id) ? times_scheduled[job.id] : 0;
-    if (count != 1) {
-      add(result, Violation::Kind::kStructural,
-          job_tag(job.id) + " scheduled " + std::to_string(count) +
-              " times (expected exactly 1)");
-    }
-  }
-  for (auto& [machine, machine_spans] : spans) {
-    check_disjoint(result, Violation::Kind::kJobOverlap, machine_spans, machine,
-                   "jobs");
-  }
+  check_multiplicity(result, instance, by_id, times_scheduled);
+  check_disjoint(result, Violation::Kind::kJobOverlap, spans, "jobs");
   return result;
 }
 

@@ -9,6 +9,8 @@
 //   bnb_mm_feasibility   vs exact_mm_feasibility  (exact/state_space.hpp)
 //   solve_exact_ise_bnb  vs solve_exact_ise       (baselines/exact_ise.hpp)
 //   typed_tise_calibration_points vs tise_calibration_points (unit models)
+//   dominant_point_indices vs dominant_blocks    (core/calibration_points.hpp)
+//   edf_assign_jobs_scan vs edf_assign_jobs      (longwin/edf_assign.hpp)
 //
 // Nothing under src/ or tools/ links this library.
 #pragma once
@@ -18,6 +20,7 @@
 
 #include "baselines/exact_ise.hpp"
 #include "core/instance.hpp"
+#include "longwin/edf_assign.hpp"
 #include "lp/simplex.hpp"
 #include "mm/mm.hpp"
 #include "runtime/limits.hpp"
@@ -53,5 +56,19 @@ namespace calisched {
 /// tise_calibration_points(instance).
 [[nodiscard]] std::vector<std::vector<Time>> typed_tise_calibration_points(
     const Instance& instance);
+
+/// Indices into `points` (sorted ascending, e.g. tise_calibration_points)
+/// of the dominant points: those whose set of TISE-feasible jobs
+/// J(t) = {j : r_j <= t <= d_j - T} is maximal under inclusion, one per run
+/// of consecutive points with equal sets (its last point). Read off the
+/// built grid by one sweep over the jobs' index ranges. Ascending.
+[[nodiscard]] std::vector<int> dominant_point_indices(
+    const Instance& instance, const std::vector<Time>& points);
+
+/// Algorithm 2 with the contract of edf_assign_jobs, rescanning every job
+/// for each pick.
+[[nodiscard]] EdfAssignResult edf_assign_jobs_scan(const Instance& instance,
+                                                   const Schedule& calendar,
+                                                   bool mirror = true);
 
 }  // namespace calisched

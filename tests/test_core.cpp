@@ -314,6 +314,50 @@ TEST(Instance, IoRejectsMalformedCaltype) {
   EXPECT_THROW(read_instance(truncated), std::runtime_error);
 }
 
+/// The message `read` throws on `text`, or "parsed" when it does not throw.
+template <typename Read>
+std::string parse_error(Read read, const std::string& text) {
+  std::istringstream in(text);
+  try {
+    (void)read(in);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "parsed";
+}
+
+TEST(Instance, IoRejectsTrailingFields) {
+  const auto read = [](std::istream& in) { return read_instance(in); };
+  const std::string jobs = "job 0 0 30 5\n";
+  EXPECT_EQ(parse_error(read, "machines 1 extra\nT 10\n" + jobs),
+            "instance parse error on line 1: unexpected field 'extra'");
+  EXPECT_EQ(parse_error(read, "machines 1\nT 10 extra\n" + jobs),
+            "instance parse error on line 2: unexpected field 'extra'");
+  EXPECT_EQ(parse_error(read, "machines 1\nT 10\ncaltype 10 1 0 extra\n" + jobs),
+            "instance parse error on line 3: unexpected field 'extra'");
+  EXPECT_EQ(parse_error(read, "machines 1\nT 10\njob 1 0 8 2 extra\n"),
+            "instance parse error on line 3: unexpected field 'extra'");
+  EXPECT_EQ(parse_error(read, "machines 1\nT 10\n" + jobs), "parsed");
+}
+
+TEST(Schedule, IoRejectsTrailingFields) {
+  const auto read = [](std::istream& in) { return read_schedule(in); };
+  const std::string header = "machines 1\nT 10\n";
+  EXPECT_EQ(parse_error(read, header + "calibration 0 3 extra\n"),
+            "schedule parse error on line 3: unexpected field 'extra'");
+  EXPECT_EQ(parse_error(read, header + "calibration 0 3 1 extra\n"),
+            "schedule parse error on line 3: unexpected field 'extra'");
+  EXPECT_EQ(parse_error(read, header + "job 0 0 3 extra\n"),
+            "schedule parse error on line 3: unexpected field 'extra'");
+  EXPECT_EQ(parse_error(read, "machines 1 extra\nT 10\n"),
+            "schedule parse error on line 1: unexpected field 'extra'");
+  EXPECT_EQ(parse_error(read, header + "caltype 10 1 0 extra\n"),
+            "schedule parse error on line 3: unexpected field 'extra'");
+  // The optional type field stays optional.
+  EXPECT_EQ(parse_error(read, header + "calibration 0 3\ncalibration 0 13 0\n"),
+            "parsed");
+}
+
 TEST(Schedule, CaltypeIoRoundTrip) {
   Instance instance = small_instance();
   instance.cal.types = {{10, 2, 0}, {20, 5, 3}};

@@ -45,8 +45,12 @@ TEST(TiseLp, OptimalOnGeneratedInstances) {
     const Instance instance = generate_long_window(long_params(seed));
     const TiseFractional fractional = solve_tise_lp(instance, 3 * instance.machines);
     ASSERT_EQ(fractional.status, LpStatus::kOptimal) << "seed " << seed;
-    // The solution covers the whole grid, whichever LP produced it.
-    ASSERT_EQ(fractional.points, tise_calibration_points(instance));
+    // Every returned point is a grid point, whichever LP produced it.
+    const std::vector<Time> grid = tise_calibration_points(instance);
+    for (const Time t : fractional.points) {
+      ASSERT_TRUE(std::binary_search(grid.begin(), grid.end(), t))
+          << "seed " << seed << " point " << t;
+    }
     ASSERT_EQ(fractional.calibration_mass.size(), fractional.points.size());
     // Objective is at least the work bound: sum C_t * T >= total work.
     EXPECT_GE(fractional.objective * static_cast<double>(instance.T),
@@ -164,11 +168,101 @@ TEST(TiseLp, SparseWindowsKeepTheDominantPointSolution) {
   const LongWindowResult result = solve_long_window(instance, options);
   ASSERT_TRUE(result.feasible) << result.error;
   EXPECT_EQ(trace.counter("lp.window_fallback"), 0);
-  // The LP behind the result is the dominant-point one.
-  EXPECT_EQ(trace.counter("lp.rows"),
-            build_dominant_tise_lp(instance).model.num_rows());
+  // The LP behind the result is the dominant-point one: a work row per
+  // dominant point, a cover row per job and a pair row per feasible pair.
+  const std::vector<Time> grid = tise_calibration_points(instance);
+  const std::vector<int> dominant = dominant_point_indices(instance, grid);
+  std::int64_t dominant_rows =
+      static_cast<std::int64_t>(dominant.size() + instance.size());
+  for (const Job& job : instance.jobs) {
+    for (const int d : dominant) {
+      const Time t = grid[static_cast<std::size_t>(d)];
+      if (job.release <= t && t <= job.deadline - instance.T) ++dominant_rows;
+    }
+  }
+  EXPECT_EQ(trace.counter("lp.rows"), dominant_rows);
   EXPECT_LT(trace.counter("lp.rows"),
             build_tise_lp(instance, 3 * instance.machines).model.num_rows());
+}
+
+/// Solves `instance` through the long-window pipeline into `trace` and
+/// checks that the simplex child's phase pivots add up to lp.pivots.
+void expect_pivots_add_up(const Instance& instance, int trim_multiplier,
+                          TraceContext& trace) {
+  LongWindowOptions options;
+  options.trim_multiplier = trim_multiplier;
+  options.trace = &trace;
+  const LongWindowResult result = solve_long_window(instance, options);
+  ASSERT_TRUE(result.feasible) << result.error;
+  const TraceContext* simplex = trace.find("simplex");
+  ASSERT_NE(simplex, nullptr);
+  EXPECT_EQ(simplex->counter("pivots.phase1") + simplex->counter("pivots.phase2"),
+            trace.counter("lp.pivots"));
+  EXPECT_GT(trace.counter("lp.pivots"), 0);
+}
+
+TEST(TiseLp, TracePivotsAddUpOverBlocksAndFallback) {
+  // Several blocks, each its own solve into one simplex trace.
+  GenParams params = long_params(3, 40);
+  params.horizon = 2000;
+  TraceContext sparse("long_window");
+  expect_pivots_add_up(generate_long_window(params), 3, sparse);
+  EXPECT_GT(sparse.counter("lp.blocks"), 1);
+  EXPECT_EQ(sparse.counter("lp.window_fallback"), 0);
+  // The dominant solve and the full LP behind the fallback.
+  TraceContext binding("long_window");
+  expect_pivots_add_up(binding_window_instance(), 1, binding);
+  EXPECT_EQ(binding.counter("lp.blocks"), 1);
+  EXPECT_EQ(binding.counter("lp.window_fallback"), 1);
+}
+
+TEST(TiseLp, BlockSweepHandlesNegativeTimesAndLongWindows) {
+  // Releases below zero need the floor residue; windows longer than n*T
+  // reach their last grid point through r + n*T, not through a residue.
+  Instance instance;
+  instance.machines = 1;
+  instance.T = 10;
+  instance.jobs = {{0, -37, 200, 4}, {1, -13, 9, 6},   {2, 3, 41, 5},
+                   {3, 250, 290, 7}, {4, 251, 400, 2}, {5, 420, 444, 3}};
+  const std::vector<Time> grid = tise_calibration_points(instance);
+  std::vector<Time> expected;
+  for (const int d : dominant_point_indices(instance, grid)) {
+    expected.push_back(grid[static_cast<std::size_t>(d)]);
+  }
+  std::vector<Time> found;
+  const std::vector<DominantBlock> blocks = dominant_blocks(instance);
+  for (const DominantBlock& block : blocks) {
+    found.insert(found.end(), block.points.begin(), block.points.end());
+  }
+  EXPECT_EQ(found, expected);
+  ASSERT_EQ(blocks.size(), 3u);
+  EXPECT_EQ(blocks[0].jobs, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(blocks[1].jobs, (std::vector<std::size_t>{3, 4}));
+  EXPECT_EQ(blocks[2].jobs, (std::vector<std::size_t>{5}));
+
+  // And the same on random windows with negative releases.
+  Rng rng(5);
+  for (int round = 0; round < 200; ++round) {
+    Instance random;
+    random.machines = 1;
+    random.T = rng.uniform_int(1, 9);
+    const int n = static_cast<int>(rng.uniform_int(1, 8));
+    for (int j = 0; j < n; ++j) {
+      const Time release = rng.uniform_int(-60, 60);
+      const Time window = rng.uniform_int(2 * random.T, 12 * random.T);
+      random.jobs.push_back({j, release, release + window, 1});
+    }
+    const std::vector<Time> random_grid = tise_calibration_points(random);
+    std::vector<Time> want;
+    for (const int d : dominant_point_indices(random, random_grid)) {
+      want.push_back(random_grid[static_cast<std::size_t>(d)]);
+    }
+    std::vector<Time> got;
+    for (const DominantBlock& block : dominant_blocks(random)) {
+      got.insert(got.end(), block.points.begin(), block.points.end());
+    }
+    ASSERT_EQ(got, want) << "round " << round;
+  }
 }
 
 TEST(TiseLp, StoppedSolveReturnsItsStatusWithoutFallback) {

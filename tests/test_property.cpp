@@ -31,6 +31,7 @@
 #include "calib/greedy_cost.hpp"
 #include "core/calibration_points.hpp"
 #include "gen/generators.hpp"
+#include "longwin/edf_assign.hpp"
 #include "longwin/fractional_witness.hpp"
 #include "longwin/long_pipeline.hpp"
 #include "longwin/tise_lp.hpp"
@@ -130,6 +131,33 @@ TEST_P(LongWindowSweep, PipelineInvariants) {
   EXPECT_LE(fast->num_calibrations(), pipeline.schedule.num_calibrations());
   const VerifyResult fast_check = verify_ise(instance, *fast);
   EXPECT_TRUE(fast_check.ok()) << fast_check.to_string();
+}
+
+TEST_P(LongWindowSweep, EdfHeapMatchesTheScanOracle) {
+  // Algorithm 2 picks the same jobs in the same order whether it keeps the
+  // released jobs in a deadline heap or rescans every job per pick: whole
+  // results compare equal, on the mirrored and on the bare calendar.
+  const Instance instance = generate_long_window(to_params(GetParam()));
+  for (const int multiplier : {1, 3}) {
+    const int m_prime = multiplier * instance.machines;
+    const TiseFractional fractional = solve_tise_lp(instance, m_prime);
+    if (fractional.status != LpStatus::kOptimal) continue;
+    const Schedule calendar = assign_round_robin(
+        instance,
+        round_calibrations(fractional.points, fractional.calibration_mass),
+        3 * m_prime);
+    for (const bool mirror : {true, false}) {
+      SCOPED_TRACE("m'=" + std::to_string(m_prime) +
+                   (mirror ? " mirrored" : " bare"));
+      const EdfAssignResult heap = edf_assign_jobs(instance, calendar, mirror);
+      const EdfAssignResult scan =
+          edf_assign_jobs_scan(instance, calendar, mirror);
+      EXPECT_EQ(heap.schedule.machines, scan.schedule.machines);
+      EXPECT_EQ(heap.schedule.calibrations, scan.schedule.calibrations);
+      EXPECT_EQ(heap.schedule.jobs, scan.schedule.jobs);
+      EXPECT_EQ(heap.unassigned, scan.unassigned);
+    }
+  }
 }
 
 TEST_P(LongWindowSweep, LpEnginesAgreeOnTiseRelaxation) {
@@ -336,17 +364,26 @@ TEST_P(TiseCertificateSweep, MatchesTheFullLpUnderTheDenseOracle) {
       }
       EXPECT_NEAR(fractional.objective, expected.objective, 1e-6);
       // Read as a point of the full LP, the returned solution is feasible.
-      ASSERT_EQ(fractional.points, full.points);
+      // Each returned point maps by value onto the full LP's grid.
+      std::vector<int> on_grid;
+      for (const Time t : fractional.points) {
+        const auto it =
+            std::lower_bound(full.points.begin(), full.points.end(), t);
+        ASSERT_TRUE(it != full.points.end() && *it == t) << "point " << t;
+        on_grid.push_back(static_cast<int>(it - full.points.begin()));
+      }
       std::vector<double> x(static_cast<std::size_t>(full.model.num_variables()),
                             0.0);
-      for (std::size_t p = 0; p < full.points.size(); ++p) {
-        x[static_cast<std::size_t>(full.calibration_column[p])] =
-            fractional.calibration_mass[p];
+      for (std::size_t q = 0; q < fractional.points.size(); ++q) {
+        x[static_cast<std::size_t>(full.calibration_column[on_grid[q]])] =
+            fractional.calibration_mass[q];
       }
       for (std::size_t j = 0; j < instance.size(); ++j) {
         for (const auto& [point, value] : fractional.assignment[j]) {
           for (const auto& [full_point, column] : full.assignment_columns[j]) {
-            if (full_point == point) x[static_cast<std::size_t>(column)] = value;
+            if (full_point == on_grid[static_cast<std::size_t>(point)]) {
+              x[static_cast<std::size_t>(column)] = value;
+            }
           }
         }
       }
@@ -388,6 +425,45 @@ TEST_P(TiseCertificateSweep, DominantPointsAreTheMaximalJobSets) {
       for (const int e : dominant) {
         if (d != e) {
           EXPECT_NE(sets[d], sets[e]);
+        }
+      }
+    }
+  }
+}
+
+TEST_P(TiseCertificateSweep, BlockSweepFindsTheGridsDominantPoints) {
+  // dominant_blocks finds, without the grid, exactly the dominant points
+  // the oracle reads off the built grid, in blocks that partition the jobs
+  // and share no feasible point.
+  for (const auto& [family, instance] : certificate_families(GetParam())) {
+    SCOPED_TRACE(family);
+    const std::vector<Time> grid = tise_calibration_points(instance);
+    std::vector<Time> expected;
+    for (const int d : dominant_point_indices(instance, grid)) {
+      expected.push_back(grid[static_cast<std::size_t>(d)]);
+    }
+    std::vector<Time> found;
+    std::vector<int> block_of(instance.size(), -1);
+    const std::vector<DominantBlock> blocks = dominant_blocks(instance);
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      EXPECT_FALSE(blocks[b].points.empty());
+      EXPECT_TRUE(std::is_sorted(blocks[b].jobs.begin(), blocks[b].jobs.end()));
+      found.insert(found.end(), blocks[b].points.begin(), blocks[b].points.end());
+      for (const std::size_t j : blocks[b].jobs) {
+        ASSERT_EQ(block_of[j], -1) << "job " << j << " in two blocks";
+        block_of[j] = static_cast<int>(b);
+      }
+    }
+    EXPECT_EQ(found, expected);
+    EXPECT_EQ(std::count(block_of.begin(), block_of.end(), -1), 0);
+    // A job's trimmed window holds only its own block's points.
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      for (const Time t : blocks[b].points) {
+        for (std::size_t j = 0; j < instance.size(); ++j) {
+          const Job& job = instance.jobs[j];
+          if (job.release <= t && t <= job.deadline - instance.T) {
+            EXPECT_EQ(block_of[j], static_cast<int>(b)) << "point " << t;
+          }
         }
       }
     }

@@ -171,6 +171,27 @@ TEST(AlgorithmRegistry, CombinedSolvesAndVerifies) {
   EXPECT_GT(result.machines, 0);
 }
 
+// Sparse long windows over a horizon of 10^9: every block holds a handful
+// of jobs, and the Lemma-3 grid would hold millions of points. The
+// dominant-point LP never builds it, so the solve answers well inside the
+// deadline.
+TEST(AlgorithmRegistry, CombinedSolvesSparseLongWindowsInsideTheDeadline) {
+  GenParams params;
+  params.seed = 7;
+  params.n = 2000;
+  params.T = 10;
+  params.machines = 2;
+  params.horizon = 1'000'000'000;
+  const Instance instance = generate_long_window(params);
+  const Algorithm* combined = AlgorithmRegistry::builtin().find("combined");
+  ASSERT_NE(combined, nullptr);
+  const RunResult result = combined->run(
+      instance, RunLimits::deadline_after(std::chrono::seconds(2)), nullptr);
+  ASSERT_EQ(result.status, SolveStatus::kOk) << result.error;
+  EXPECT_TRUE(result.feasible);
+  EXPECT_TRUE(result.verified);
+}
+
 TEST(AlgorithmRegistry, CapabilityMismatchIsInfeasibleNotAssert) {
   const AlgorithmRegistry& registry = AlgorithmRegistry::builtin();
   const Instance mixed = generate_mixed(small_params(11), 0.5);

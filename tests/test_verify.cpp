@@ -2,6 +2,10 @@
 // be detected, and clean schedules must pass.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "verify/verify.hpp"
 
 namespace calisched {
@@ -202,6 +206,42 @@ TEST(VerifyIse, OverlapAllowedPolicySkipsCalibrationExclusivity) {
   EXPECT_FALSE(verify_ise(instance, schedule, /*require_tise=*/false,
                           CalibrationPolicy::kOverlapAllowed)
                    .ok());
+}
+
+TEST(VerifyIse, ReportsViolationsOnTwoMachinesInAFixedOrder) {
+  // Per-job checks come first, in schedule order; then job overlaps and
+  // calibration overlaps, each by machine, then by start.
+  Instance instance;
+  instance.machines = 2;
+  instance.T = 10;
+  instance.jobs = {{0, 0, 40, 4}, {1, 0, 40, 4}, {2, 0, 40, 4},
+                   {3, 0, 40, 4}, {4, 0, 40, 4}, {5, 0, 40, 4}};
+  Schedule schedule = Schedule::empty_like(instance, 2);
+  schedule.calibrations = {{1, 0}, {1, 5}, {0, 2}, {0, 0}};
+  schedule.jobs = {{5, 2, 20}, {0, 1, 0}, {1, 1, 2}, {4, 1, 30},
+                   {2, 0, 0},  {3, 0, 3}};
+  const VerifyResult result = verify_ise(instance, schedule);
+  using Kind = Violation::Kind;
+  const std::vector<std::pair<Kind, std::string>> expected = {
+      {Kind::kStructural, "job 5: machine index 2 out of range [0, 2)"},
+      {Kind::kCalibrationCover,
+       "job 5 at tick 20 on machine 2 is not contained in any calibration's "
+       "availability window"},
+      {Kind::kCalibrationCover,
+       "job 4 at tick 30 on machine 1 is not contained in any calibration's "
+       "availability window"},
+      {Kind::kJobOverlap, "jobs overlap on machine 0: [0, 4) and [3, 7) ticks"},
+      {Kind::kJobOverlap, "jobs overlap on machine 1: [0, 4) and [2, 6) ticks"},
+      {Kind::kCalibrationOverlap,
+       "calibrations overlap on machine 0: [0, 10) and [2, 12) ticks"},
+      {Kind::kCalibrationOverlap,
+       "calibrations overlap on machine 1: [0, 10) and [5, 15) ticks"},
+  };
+  std::vector<std::pair<Kind, std::string>> reported;
+  for (const Violation& violation : result.violations) {
+    reported.emplace_back(violation.kind, violation.message);
+  }
+  EXPECT_EQ(reported, expected);
 }
 
 TEST(VerifyMm, CleanAndViolations) {
